@@ -32,7 +32,7 @@ from .grid import (
     trapezoid_weights,
     weighted_norm_sq,
 )
-from .hermite import hermite_function, hermite_functions
+from .hermite import hermite_functions
 from .quantum import (
     HermiteBasis,
     OperatorKernel,
@@ -54,7 +54,6 @@ from .quantum import (
 )
 from .suites import RunConfig, VerificationReport, run_suite
 from .xform import (
-    TransformPlan,
     forward_direct,
     forward_fast,
     forward_shifted_form,

@@ -52,7 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="run a named verification suite")
+    pv = sub.add_parser(
+        "verify", help="run a named verification suite",
+        description="The config (--config, --alpha, --epsilon) drives only the roundtrip, "
+                    "parseval, gaussian, chirplet-kernel, hermite-oracle and charfun "
+                    "(hermite_n_max, charfun_*) suites; the weyl, symbol-identity and "
+                    "kirkwood grids are fixed.")
     pv.add_argument("suite", choices=sorted(SUITE_NAMES))
     pv.add_argument("--config", help="JSON config file")
     pv.add_argument("--alpha", action="append", type=float, default=None,
@@ -115,16 +120,11 @@ def _cmd_transform(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    ops = {
-        ("forward", "direct"): xform.forward_direct,
-        ("forward", "fast"): xform.forward_fast,
-        ("inverse", "direct"): xform.inverse_direct,
-        ("inverse", "fast"): xform.inverse_fast,
-    }
+    ops = xform._FORWARD if args.direction == "forward" else xform._INVERSE
     results = {}
     for path in (("direct", "fast") if args.path == "both" else (args.path,)):
         t0 = time.perf_counter()
-        results[path] = ops[(args.direction, path)](field, out_grid)
+        results[path] = ops[path](field, out_grid)
         dt = time.perf_counter() - t0
         print(f"{args.direction} ({path}): {dt * 1e3:.1f} ms")
     if args.path == "both":
@@ -143,16 +143,15 @@ def _cmd_kernel(args) -> int:
         grid = _parse_grid_spec(args.grid)
         X, Y = grid.meshes()
         closed = closedform.frft_kernel(args.alpha, X, Y)
+        vals = (closedform.frft_kernel_hermite(args.alpha, X, Y, args.terms)
+                if args.method == "hermite" else closed)
     except ValueError as exc:
         print(f"kernel error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     if args.method == "hermite":
-        vals = closedform.frft_kernel_hermite(args.alpha, X, Y, args.terms)
         print(f"max |series - closed| = {np.abs(vals - closed).max():.3e} "
               f"({args.terms} terms)")
-    else:
-        vals = closed
     fields_io.write_field_csv(SampledField(grid, vals), args.out)
     print(f"wrote kernel samples (alpha={args.alpha:g}, method={args.method}) -> {args.out}")
     return EXIT_OK

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hermite_functions", "hermite_function"]
+__all__ = ["hermite_functions"]
 
 
 def hermite_functions(n_max: int, x) -> np.ndarray:
@@ -26,8 +26,3 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     for k in range(1, n_max):
         out[k + 1] = np.sqrt(2.0 / (k + 1)) * x * out[k] - np.sqrt(k / (k + 1)) * out[k - 1]
     return out
-
-
-def hermite_function(n: int, x) -> np.ndarray:
-    """Single psi_n(x) (computes the table up to n)."""
-    return hermite_functions(n, x)[n]

@@ -174,8 +174,9 @@ def wigner_of_signal(psi: Signal, grid: PhaseGrid) -> SampledField:
 
         W(p, q) = (1/2pi) int du e^{i p u} conj(psi)(q + u/2) psi(q - u/2),
 
-    by trapezoid quadrature on a u-lattice matched to the signal sampling
-    (half-step values read off by linear interpolation, exact for on-grid q).
+    computed as the Wigner function of the rank-1 density |psi><psi|; for
+    off-lattice q the bilinear anti-diagonal read factors into the product of
+    the two linear reads of psi.
     """
     ax = psi.axis
     qv = grid.q_axis.values
@@ -184,21 +185,8 @@ def wigner_of_signal(psi: Signal, grid: PhaseGrid) -> SampledField:
             f"signal axis [{ax.min}, {ax.max}] too small for requested q-range "
             f"[{qv[0]}, {qv[-1]}]"
         )
-    pv = grid.p_axis.values
-    vals = np.empty(grid.shape, dtype=complex)
-    step = ax.step
-    for b, q0 in enumerate(qv):
-        room = min(q0 - ax.min, ax.max - q0)
-        jmax = int(np.floor(room / step + 1e-12))
-        j = np.arange(-jmax, jmax + 1)
-        u = 2.0 * step * j
-        plus = _linear_1d(psi.values, ax, q0 + u / 2.0)
-        minus = _linear_1d(psi.values, ax, q0 - u / 2.0)
-        prod = np.conj(plus) * minus
-        w = trapezoid_weights(len(u)) if len(u) > 1 else np.ones(1)
-        vals[:, b] = (np.exp(1j * np.outer(pv, u)) * (w * prod)).sum(axis=1) * (
-            2.0 * step / (2.0 * np.pi))
-    return SampledField(grid, vals)
+    rank1 = OperatorKernel(ax, ax, np.outer(psi.values, np.conj(psi.values)))
+    return wigner_of_density(rank1, grid)
 
 
 def weyl_quantize(h: SampledField, q1_axis: Axis, q2_axis: Axis) -> OperatorKernel:
@@ -262,15 +250,24 @@ def wigner_of_density(rho: OperatorKernel, grid: PhaseGrid) -> SampledField:
     return SampledField(grid, sym.values / (2.0 * np.pi))
 
 
+def _dense_fourier(axis: Axis, a: np.ndarray, xs) -> np.ndarray:
+    """(2 pi)^{-1/2} sum_j w_j e^{-i x q_j} a_j step over axis 0 of ``a``.
+
+    Dense on purpose: it is the side of the symbol identity that shares no
+    code with the chirp-z transform.
+    """
+    w = trapezoid_weights(axis.n)
+    E = np.exp(-1j * np.outer(np.asarray(xs, float), axis.values)) * w
+    return (E @ a) * axis.step / np.sqrt(2.0 * np.pi)
+
+
 def _mixed_grid(H: OperatorKernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    ax1, ax2 = H.q1_axis, H.q2_axis
+    ax2 = H.q2_axis
     ys = np.asarray(ys, dtype=float)
     if ys.min() < ax2.min - 1e-12 or ys.max() > ax2.max + 1e-12:
         raise ValueError(f"y outside the kernel q2 axis [{ax2.min}, {ax2.max}]")
     iy = np.round((ys - ax2.min) / ax2.step).astype(int)
-    w = trapezoid_weights(ax1.n)
-    E = np.exp(-1j * np.outer(np.asarray(xs, float), ax1.values)) * w
-    return (E @ H.values[:, iy]) * ax1.step / np.sqrt(2.0 * np.pi)
+    return _dense_fourier(H.q1_axis, H.values[:, iy], xs)
 
 
 def mixed_matrix_element(H: OperatorKernel, x: float, y: float) -> complex:
@@ -358,39 +355,27 @@ def oscillator_exponential_kernel(f: complex, basis: HermiteBasis) -> OperatorKe
 # ---------------------------------------------------------------------------
 # Kirkwood-Rihaczek closed forms and characteristic functions
 
-def _fourier_of_signal(psi: Signal, p) -> np.ndarray:
-    """psi~(p) = (2 pi)^{-1/2} int dq e^{-i p q} psi(q), trapezoid."""
-    q = psi.axis.values
-    w = trapezoid_weights(psi.axis.n)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    E = np.exp(-1j * np.outer(p, q))
-    return (E @ (w * psi.values)) * psi.axis.step / np.sqrt(2.0 * np.pi)
-
-
 def kirkwood_qp_closed(psi: Signal, p, q):
     """Kirkwood-Rihaczek value for the pure state |psi><psi|:
 
-        conj(psi)(q) * psi~(p) * e^{i p q} / sqrt(2 pi).
+        conj(psi)(q) * psi~(p) * e^{i p q} / sqrt(2 pi),
 
+    with psi~(p) = (2 pi)^{-1/2} int dq e^{-i p q} psi(q) by trapezoid.
     Broadcasts over array p, q; psi(q) is exact for q on the signal lattice
     and linearly interpolated otherwise.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    ft = _fourier_of_signal(psi, p.ravel()).reshape(p.shape)
+    ft = _dense_fourier(psi.axis, psi.values, p.ravel()).reshape(p.shape)
     pq = _linear_1d(psi.values, psi.axis, q)
     out = np.conj(pq) * ft * np.exp(1j * p * q) / np.sqrt(2.0 * np.pi)
     return complex(out) if out.ndim == 0 else out
 
 
 def kirkwood_pq_closed(psi: Signal, p, q):
-    """Anti-ordered partner: psi(q) * conj(psi~)(p) * e^{-i p q} / sqrt(2 pi)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    ft = _fourier_of_signal(psi, p.ravel()).reshape(p.shape)
-    pq = _linear_1d(psi.values, psi.axis, q)
-    out = pq * np.conj(ft) * np.exp(-1j * p * q) / np.sqrt(2.0 * np.pi)
-    return complex(out) if out.ndim == 0 else out
+    """Anti-ordered partner: psi(q) * conj(psi~)(p) * e^{-i p q} / sqrt(2 pi),
+    the complex conjugate of the ordered form."""
+    return np.conj(kirkwood_qp_closed(psi, p, q))
 
 
 class KirkwoodResiduals(NamedTuple):
@@ -409,7 +394,8 @@ def wigner_to_kirkwood_residual(
     pq: max |T^{-1}[W](p, q)      - kirkwood_pq_closed(psi, p, q)|
     """
     W = wigner_of_signal(psi, wigner_grid)
-    P, Q = out_grid.meshes()
+    P = out_grid.p_axis.values[:, None]
+    Q = out_grid.q_axis.values[None, :]
     fw = forward_fast(W, out_grid).values
     res_qp = float(np.abs(fw - kirkwood_qp_closed(psi, P, Q)).max())
     bw = inverse_fast(W, out_grid).values

@@ -68,18 +68,22 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
         cfg = cls()
         for key, val in raw.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config field {key!r}")
-            cur = getattr(cfg, key)
-            if isinstance(cur, tuple):
-                val = tuple(val)
-            setattr(cfg, key, val)
+            setattr(cfg, key, _typed(key, getattr(cfg, key), val))
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            nums = val if isinstance(val, tuple) else (val,)
+            if any(isinstance(v, float) and not np.isfinite(v) for v in nums):
+                raise ValueError(f"config field {f.name} must be finite, got {val}")
         for name in ("field_n", "mid_n", "gaussian_n", "eval_n", "chirplet_n", "oracle_n",
                      "charfun_n"):
             if getattr(self, name) < 2:
@@ -104,6 +108,24 @@ class RunConfig:
             if isinstance(val, tuple):
                 d[key] = list(val)
         return d
+
+
+def _typed(key: str, default, val):
+    """A JSON config value checked against the type of the field's default:
+    lists of numbers for tuples, name -> number objects for dicts."""
+    if isinstance(default, tuple):
+        if not isinstance(val, list):
+            raise ValueError(f"config field {key} must be a list, got {val!r}")
+        return tuple(_typed(key, 0.0, v) for v in val)
+    if isinstance(default, dict):
+        if not isinstance(val, dict):
+            raise ValueError(f"config field {key} must be an object, got {val!r}")
+        return {k: _typed(key, 0.0, v) for k, v in val.items()}
+    allowed = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(val, bool) or not isinstance(val, allowed):
+        raise ValueError(
+            f"config field {key} must be {type(default).__name__}, got {val!r}")
+    return type(default)(val)
 
 
 @dataclass
@@ -161,20 +183,22 @@ def _square_grid(extent: float, n: int) -> PhaseGrid:
     return PhaseGrid(ax, ax)
 
 
+def _gaussian_poly_field(grid: PhaseGrid, rng, damp: float = 0.6) -> SampledField:
+    """Random polynomial (total degree <= 3, complex normal coefficients) times
+    exp(-damp (p^2 + q^2))."""
+    P, Q = grid.meshes()
+    vals = np.zeros_like(P, dtype=complex)
+    for i in range(4):
+        for j in range(4 - i):
+            vals += (rng.standard_normal() + 1j * rng.standard_normal()) * P**i * Q**j
+    return SampledField(grid, vals * np.exp(-damp * (P**2 + Q**2)))
+
+
 def _random_fields(cfg: RunConfig):
-    """Gaussian-damped random low-order polynomial fields (total degree <= 3)."""
     rng = np.random.default_rng(cfg.seed)
     grid = _square_grid(cfg.field_extent, cfg.field_n)
-    P, Q = grid.meshes()
-    damp = np.exp(-cfg.damp * (P**2 + Q**2))
-    out = []
-    for _ in range(cfg.n_fields):
-        vals = np.zeros_like(P, dtype=complex)
-        for i in range(4):
-            for j in range(4 - i):
-                vals += (rng.standard_normal() + 1j * rng.standard_normal()) * P**i * Q**j
-        out.append(SampledField(grid, vals * damp))
-    return grid, _square_grid(cfg.mid_extent, cfg.mid_n), out
+    fields = [_gaussian_poly_field(grid, rng, cfg.damp) for _ in range(cfg.n_fields)]
+    return grid, _square_grid(cfg.mid_extent, cfg.mid_n), fields
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +209,7 @@ def suite_roundtrip(cfg: RunConfig) -> list[CaseResult]:
     label = "inverse(forward(h)) recovers h (transform invertibility)"
 
     def run(path):
-        fwd = xform.forward_fast if path == "fast" else xform.forward_direct
-        inv = xform.inverse_fast if path == "fast" else xform.inverse_direct
+        fwd, inv = xform._FORWARD[path], xform._INVERSE[path]
         worst = 0.0
         for h in fields:
             back = inv(fwd(h, mid), grid)

@@ -25,16 +25,12 @@ enforced here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 from scipy.signal import czt
 
 from .grid import Axis, PhaseGrid, SampledField, trapezoid_weights
 
 __all__ = [
-    "TransformPlan",
     "forward_direct",
     "forward_fast",
     "inverse_direct",
@@ -135,28 +131,6 @@ def inverse_direct(f: SampledField, out: PhaseGrid) -> SampledField:
 
 _FORWARD = {"direct": forward_direct, "fast": forward_fast}
 _INVERSE = {"direct": inverse_direct, "fast": inverse_fast}
-
-
-@dataclass(frozen=True)
-class TransformPlan:
-    """A fully specified evaluation: grids, direction, and path."""
-
-    input_grid: PhaseGrid
-    output_grid: PhaseGrid
-    direction: Literal["forward", "inverse"]
-    path: Literal["direct", "fast"]
-
-    def __post_init__(self):
-        if self.direction not in ("forward", "inverse"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.path not in ("direct", "fast"):
-            raise ValueError(f"unknown path {self.path!r}")
-
-    def execute(self, h: SampledField) -> SampledField:
-        if h.grid != self.input_grid:
-            raise ValueError("field grid does not match plan input grid")
-        op = (_FORWARD if self.direction == "forward" else _INVERSE)[self.path]
-        return op(h, self.output_grid)
 
 
 def parseval_residual(h: SampledField, out: PhaseGrid, path: str = "fast") -> float:

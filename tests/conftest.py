@@ -11,6 +11,7 @@ settings.register_profile(
 settings.load_profile("numerics")
 
 from chirpspace import PhaseGrid, SampledField, make_axis
+from chirpspace.suites import _gaussian_poly_field as gaussian_poly_field  # noqa: F401
 
 
 @pytest.fixture
@@ -21,16 +22,6 @@ def rng():
 def square_grid(extent: float, n: int) -> PhaseGrid:
     ax = make_axis(-extent, extent, n)
     return PhaseGrid(ax, ax)
-
-
-def gaussian_poly_field(grid: PhaseGrid, rng, damp: float = 0.6) -> SampledField:
-    """Random polynomial (total degree <= 3) times a Gaussian."""
-    P, Q = grid.meshes()
-    vals = np.zeros_like(P, dtype=complex)
-    for i in range(4):
-        for j in range(4 - i):
-            vals += (rng.standard_normal() + 1j * rng.standard_normal()) * P**i * Q**j
-    return SampledField(grid, vals * np.exp(-damp * (P**2 + Q**2)))
 
 
 def assert_chirp_resolved(grid: PhaseGrid) -> None:

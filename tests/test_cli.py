@@ -156,6 +156,31 @@ class TestKernelCommand:
         assert "3.1" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "gaussian", "--config", [1, 2]),
+        ("verify", "gaussian", "--config", {"field_n": "abc"}),
+        ("verify", "gaussian", "--config", {"alphas": 1.0}),
+        ("verify", "gaussian", "--config", {"tolerance_overrides": [1]}),
+        ("verify", "roundtrip", "--config", {"field_extent": float("nan")}),
+        ("verify", "chirplet-kernel", "--alpha", "nan"),
+        ("kernel", "--alpha", "1.0", "--method", "hermite", "--terms", "0",
+         "--grid=-1,1,3;-1,1,3"),
+    ], ids=["config-list", "config-str-int", "config-scalar-list",
+            "config-list-dict", "config-nan-extent", "alpha-nan", "hermite-zero-terms"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        args = []
+        for a in argv:
+            if not isinstance(a, str):
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps(a))
+                a = str(cfg)
+            args.append(a)
+        assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

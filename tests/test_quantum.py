@@ -54,6 +54,16 @@ class TestWignerOfSignal:
         P, Q = grid.meshes()
         assert np.abs(W.values - np.exp(-(P**2 + Q**2)) / np.pi).max() < 1e-8
 
+    def test_boosted_displaced_gaussian(self):
+        # complex state: a conjugate on the wrong factor mirrors the peak to -p0
+        p0, q0 = -1.5, 1.0
+        q = SIG_AXIS.values
+        psi = Signal(SIG_AXIS, np.pi**-0.25 * np.exp(-(q - q0)**2 / 2 + 1j * p0 * q))
+        grid = PhaseGrid(make_axis(-5, 5, 81), make_axis(-4, 4, 65))
+        W = wigner_of_signal(psi, grid)
+        P, Q = grid.meshes()
+        assert np.abs(W.values - np.exp(-(P - p0)**2 - (Q - q0)**2) / np.pi).max() < 1e-8
+
     def test_normalization(self):
         grid = PhaseGrid(make_axis(-6, 6, 129), make_axis(-6, 6, 193))
         W = wigner_of_signal(state_signal(0), grid)

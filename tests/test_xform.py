@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from chirpspace import (
     PhaseGrid,
     SampledField,
-    TransformPlan,
     forward_direct,
     forward_fast,
     forward_shifted_form,
@@ -125,6 +124,13 @@ class TestRoundTrip:
         assert np.all(forward_fast(z, grid).values == 0)
         assert np.all(inverse_fast(z, grid).values == 0)
 
+    def test_type_errors(self):
+        g = square_grid(2, 4)
+        with pytest.raises(TypeError):
+            forward_fast(np.zeros((4, 4)), g)
+        with pytest.raises(TypeError):
+            forward_fast(SampledField(g, np.zeros(g.shape)), "not a grid")
+
 
 class TestLinearity:
     @given(
@@ -189,32 +195,3 @@ class TestShiftedForm:
         z = SampledField(grid, np.zeros(grid.shape))
         out = square_grid(1, 3)
         assert np.abs(forward_shifted_form(z, out).values).max() == 0.0
-
-
-class TestPlan:
-    def test_plan_matches_direct_call(self, rng):
-        grid = square_grid(4, 24)
-        out = square_grid(2, 8)
-        h = gaussian_poly_field(grid, rng)
-        plan = TransformPlan(grid, out, "forward", "fast")
-        assert np.array_equal(plan.execute(h).values, forward_fast(h, out).values)
-
-    def test_plan_rejects_wrong_grid(self, rng):
-        plan = TransformPlan(square_grid(4, 24), square_grid(2, 8), "forward", "fast")
-        h = gaussian_poly_field(square_grid(4, 23), rng)
-        with pytest.raises(ValueError, match="does not match plan"):
-            plan.execute(h)
-
-    def test_plan_rejects_bad_enum(self):
-        g = square_grid(2, 4)
-        with pytest.raises(ValueError):
-            TransformPlan(g, g, "sideways", "fast")
-        with pytest.raises(ValueError):
-            TransformPlan(g, g, "forward", "warp")
-
-    def test_type_errors(self):
-        g = square_grid(2, 4)
-        with pytest.raises(TypeError):
-            forward_fast(np.zeros((4, 4)), g)
-        with pytest.raises(TypeError):
-            forward_fast(SampledField(g, np.zeros(g.shape)), "not a grid")
