@@ -107,6 +107,8 @@ def _cmd_verify(args) -> int:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: residual {c.residual:.3e} (tol {c.tolerance:g}, "
               f"{c.runtime_ms:.0f} ms) -- {c.identity}")
+        if c.error:
+            print(f"    error: {c.error}")
     verdict = "PASS" if report.overall_pass else "FAIL"
     print(f"suite {report.suite}: {verdict} ({len(report.cases)} cases) -> {report_path}")
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED

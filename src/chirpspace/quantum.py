@@ -8,7 +8,8 @@ phase-space symbols,
     quantize:  <q1|H|q2> = (1/2pi) int dp  h(p, (q1+q2)/2) e^{ i p (q1-q2)}
     symbol:    h(p, q)   =         int du  e^{-i p u} <q + u/2|H|q - u/2>
 
-(symbols are always stored momentum-first), the Wigner transforms of signals
+(symbols are always stored momentum-first; quantization needs identical
+q1/q2 axes, as does symbol extraction), the Wigner transforms of signals
 and density operators (symbol/2pi with the same sign convention), mixed
 momentum-bra/position-ket matrix elements, the oscillator-exponential
 correspondence, Kirkwood-Rihaczek closed forms, and ordered characteristic
@@ -132,38 +133,45 @@ def _linear_1d(values: np.ndarray, axis: Axis, at: np.ndarray) -> np.ndarray:
     return (1.0 - s) * values[i0] + s * values[i0 + 1]
 
 
+def _check_within(axis: Axis, lo: float, hi: float, what: str, where: str) -> None:
+    """Reject a requested range [lo, hi] that leaves the axis (1e-12 slack)."""
+    if lo < axis.min - 1e-12 or hi > axis.max + 1e-12:
+        raise ValueError(
+            f"{what} [{lo}, {hi}] outside the {where} [{axis.min}, {axis.max}], "
+            "which is too small"
+        )
+
+
 def _antidiagonal_transform(values: np.ndarray, axis: Axis,
                             p_out: np.ndarray, q_out: np.ndarray) -> np.ndarray:
     """int du e^{-i p u} values(q + u/2, q - u/2) for each output (p, q).
 
     The u-lattice advances by one axis cell per node (du = 2 step), so the
     anti-diagonal samples land on kernel nodes for on-grid q and on bilinear
-    blends of the four neighbors for fractional q.
+    blends of the four neighbors for fractional q.  Every anti-diagonal is
+    gathered, with its trapezoid weights, into one zero-padded column of a
+    (2n - 1) x n_q matrix (u = 2 step j, |j| < n), which a single Fourier
+    matrix then contracts.
     """
-    n = axis.n
-    step = axis.step
-    out = np.empty((len(p_out), len(q_out)), dtype=complex)
-    for b, q0 in enumerate(q_out):
-        if q0 < axis.min - 1e-12 or q0 > axis.max + 1e-12:
-            raise ValueError(f"q={q0} outside the kernel axis [{axis.min}, {axis.max}]")
-        t = min(max((q0 - axis.min) / step, 0.0), float(n - 1))
-        k0 = min(int(np.floor(t + 1e-12)), n - 1)
-        s = t - k0
-        if s < 1e-12:
-            s = 0.0
-        hi = n - 1 if s == 0.0 else n - 2
-        jmax = min(k0, hi - k0)
-        j = np.arange(-jmax, jmax + 1)
-        if s == 0.0:
-            diag = values[k0 + j, k0 - j]
-        else:
-            diag = ((1 - s) ** 2 * values[k0 + j, k0 - j]
-                    + s * (1 - s) * (values[k0 + j + 1, k0 - j] + values[k0 + j, k0 - j + 1])
-                    + s ** 2 * values[k0 + j + 1, k0 - j + 1])
-        u = 2.0 * step * j
-        w = trapezoid_weights(len(u)) if len(u) > 1 else np.ones(1)
-        out[:, b] = (np.exp(-1j * np.outer(p_out, u)) * (w * diag)).sum(axis=1) * 2.0 * step
-    return out
+    n, step = axis.n, axis.step
+    _check_within(axis, q_out.min(), q_out.max(), "requested q-range", "kernel axis")
+    t = np.clip((q_out - axis.min) / step, 0.0, n - 1.0)
+    k0 = np.minimum(np.floor(t + 1e-12).astype(int), n - 1)
+    s = t - k0
+    s[s < 1e-12] = 0.0
+    jmax = np.minimum(k0, np.where(s == 0.0, n - 1, n - 2) - k0)
+    j = np.arange(1 - n, n)[:, None]
+    # trapezoid weights per column; a one-sample column (axis end) keeps weight 1
+    w = np.where((np.abs(j) == jmax) & (jmax > 0), 0.5, 1.0) * (np.abs(j) <= jmax)
+    padded = np.zeros((n + 1, n + 1), dtype=complex)
+    padded[:n, :n] = values
+    r = np.clip(k0 + j, 0, n - 1)
+    c = np.clip(k0 - j, 0, n - 1)
+    diag = ((1 - s) ** 2 * padded[r, c]
+            + s * (1 - s) * (padded[r + 1, c] + padded[r, c + 1])
+            + s ** 2 * padded[r + 1, c + 1])
+    u = 2.0 * step * j[:, 0]
+    return (np.exp(-1j * np.outer(p_out, u)) @ (w * diag)) * 2.0 * step
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +186,7 @@ def wigner_of_signal(psi: Signal, grid: PhaseGrid) -> SampledField:
     off-lattice q the bilinear anti-diagonal read factors into the product of
     the two linear reads of psi.
     """
-    ax = psi.axis
-    qv = grid.q_axis.values
-    if qv[0] < ax.min - 1e-12 or qv[-1] > ax.max + 1e-12:
-        raise ValueError(
-            f"signal axis [{ax.min}, {ax.max}] too small for requested q-range "
-            f"[{qv[0]}, {qv[-1]}]"
-        )
-    rank1 = OperatorKernel(ax, ax, np.outer(psi.values, np.conj(psi.values)))
+    rank1 = OperatorKernel(psi.axis, psi.axis, np.outer(psi.values, np.conj(psi.values)))
     return wigner_of_density(rank1, grid)
 
 
@@ -194,11 +195,15 @@ def weyl_quantize(h: SampledField, q1_axis: Axis, q2_axis: Axis) -> OperatorKern
 
         <q1|H|q2> = (1/2pi) int dp h(p, (q1+q2)/2) e^{i p (q1 - q2)}.
 
-    Quadrature runs over the symbol's p-axis; the midpoint column is read by
-    linear interpolation in q (exact when midpoints land on symbol nodes).
-    A symbol that has not decayed at the p-boundary degrades accuracy and is
-    reported as a warning, not an error.
+    Needs identical q1/q2 axes, so that q1 - q2 runs over the 2n - 1 lattice
+    differences: the symbol is Fourier-transformed along p once onto those
+    differences, and each (q1, q2) reads its difference row there, with the
+    midpoint column read by linear interpolation in q (exact when midpoints
+    land on symbol nodes).  A symbol that has not decayed at the p-boundary
+    degrades accuracy and is reported as a warning, not an error.
     """
+    if q1_axis != q2_axis:
+        raise ValueError("quantization needs identical q1/q2 axes")
     ax_p, ax_q = h.grid.p_axis, h.grid.q_axis
     edge = max(np.abs(h.values[0, :]).max(), np.abs(h.values[-1, :]).max())
     if edge > BOUNDARY_TINY:
@@ -207,24 +212,17 @@ def weyl_quantize(h: SampledField, q1_axis: Axis, q2_axis: Axis) -> OperatorKern
             "p-truncation may dominate the quantization error",
             stacklevel=2,
         )
-    q1 = q1_axis.values
-    q2 = q2_axis.values
-    lo, hi = (q1[0] + q2[0]) / 2.0, (q1[-1] + q2[-1]) / 2.0
-    if lo < ax_q.min - 1e-12 or hi > ax_q.max + 1e-12:
-        raise ValueError(
-            f"midpoints [{lo}, {hi}] fall outside the symbol q-range [{ax_q.min}, {ax_q.max}]"
-        )
-    p = ax_p.values
-    wp = trapezoid_weights(ax_p.n)[:, None]
-    vals = np.empty((q1_axis.n, q2_axis.n), dtype=complex)
-    for i, q1v in enumerate(q1):
-        mid = (q1v + q2) / 2.0
-        t = (mid - ax_q.min) / ax_q.step
-        j0 = np.clip(np.floor(t).astype(int), 0, ax_q.n - 2)
-        s = t - j0
-        cols = h.values[:, j0] * (1.0 - s) + h.values[:, j0 + 1] * s
-        phase = np.exp(1j * np.outer(p, q1v - q2))
-        vals[i, :] = (wp * cols * phase).sum(axis=0) * ax_p.step / (2.0 * np.pi)
+    n, q = q1_axis.n, q1_axis.values
+    _check_within(ax_q, q[0], q[-1], "midpoints", "symbol q-range")
+    d = q1_axis.step * np.arange(1 - n, n)
+    wh = trapezoid_weights(ax_p.n)[:, None] * h.values
+    F = (np.exp(1j * np.outer(d, ax_p.values)) @ wh) * ax_p.step / (2.0 * np.pi)
+    i = np.arange(n)
+    row = i[:, None] - i[None, :] + n - 1
+    t = ((q[:, None] + q[None, :]) / 2.0 - ax_q.min) / ax_q.step
+    j0 = np.clip(np.floor(t).astype(int), 0, ax_q.n - 2)
+    s = t - j0
+    vals = F[row, j0] * (1.0 - s) + F[row, j0 + 1] * s
     return OperatorKernel(q1_axis, q2_axis, vals)
 
 
@@ -264,8 +262,7 @@ def _dense_fourier(axis: Axis, a: np.ndarray, xs) -> np.ndarray:
 def _mixed_grid(H: OperatorKernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ax2 = H.q2_axis
     ys = np.asarray(ys, dtype=float)
-    if ys.min() < ax2.min - 1e-12 or ys.max() > ax2.max + 1e-12:
-        raise ValueError(f"y outside the kernel q2 axis [{ax2.min}, {ax2.max}]")
+    _check_within(ax2, ys.min(), ys.max(), "y", "kernel q2 axis")
     iy = np.round((ys - ax2.min) / ax2.step).astype(int)
     return _dense_fourier(H.q1_axis, H.values[:, iy], xs)
 

@@ -136,6 +136,7 @@ class CaseResult:
     tolerance: float
     passed: bool
     runtime_ms: float
+    error: str | None = None
 
 
 @dataclass
@@ -159,23 +160,26 @@ class VerificationReport:
         }
 
 
-def _case(cfg: RunConfig, name: str, identity: str, tolerance: float, fn) -> CaseResult:
-    tol = cfg.tolerance_overrides.get(name, tolerance)
+def _cases(cfg: RunConfig, specs, fn) -> list[CaseResult]:
+    """Run ``fn`` once, timed; it returns one residual per
+    ``(name, identity, tolerance)`` spec, and each case is billed an even share
+    of the time.  An exception fails every case with residual inf and its text."""
     t0 = time.perf_counter()
-    residual = float(fn())
-    ms = (time.perf_counter() - t0) * 1e3
-    return CaseResult(name, identity, residual, tol, residual <= tol, ms)
+    try:
+        residuals, error = [float(r) for r in fn()], None
+    except Exception as exc:
+        residuals, error = [np.inf] * len(specs), f"{type(exc).__name__}: {exc}"
+    ms = (time.perf_counter() - t0) * 1e3 / len(specs)
+    results = []
+    for (name, identity, tolerance), residual in zip(specs, residuals):
+        tol = cfg.tolerance_overrides.get(name, tolerance)
+        results.append(CaseResult(name, identity, residual, tol,
+                                  error is None and residual <= tol, ms, error))
+    return results
 
 
-def _memo(fn):
-    box = {}
-
-    def get():
-        if "v" not in box:
-            box["v"] = fn()
-        return box["v"]
-
-    return get
+def _case(cfg: RunConfig, name: str, identity: str, tolerance: float, fn) -> CaseResult:
+    return _cases(cfg, [(name, identity, tolerance)], lambda: [fn()])[0]
 
 
 def _square_grid(extent: float, n: int) -> PhaseGrid:
@@ -359,31 +363,19 @@ def suite_symbol_identity(cfg: RunConfig) -> list[CaseResult]:
     basis = quantum.make_hermite_basis(1, op_axis)
     sym_grid = PhaseGrid(make_axis(-6.0, 6.0, 129), make_axis(-6.0, 6.0, 97))
     out = PhaseGrid(make_axis(-7.0, 7.0, 225), make_axis(-7.0, 7.0, 225))
-    cases = []
-    for n in (0, 1):
-        K = quantum.OperatorKernel(
-            op_axis, op_axis, np.outer(basis.table[n], basis.table[n]).astype(complex))
-        get = _memo(lambda K=K: quantum.symbol_identity_residual(K, sym_grid, out))
-        cases.append(_case(
-            cfg, f"symbol-identity-n{n}-transform",
-            "transform of the symbol equals the scaled mixed matrix element",
-            1e-6, lambda get=get: get().transform_side))
-        cases.append(_case(
-            cfg, f"symbol-identity-n{n}-inverse",
-            "inverse transform of the mixed matrix element recovers the symbol",
-            1e-6, lambda get=get: get().inverse_side))
-
-    osc = quantum.oscillator_exponential_kernel(
+    kernels = {f"n{n}": quantum.OperatorKernel(
+        op_axis, op_axis, np.outer(basis.table[n], basis.table[n]).astype(complex))
+        for n in (0, 1)}
+    kernels["osc"] = quantum.oscillator_exponential_kernel(
         -np.log(3.0), quantum.make_hermite_basis(60, op_axis))
-    get = _memo(lambda: quantum.symbol_identity_residual(osc, sym_grid, out))
-    cases.append(_case(
-        cfg, "symbol-identity-osc-transform",
-        "transform of the symbol equals the scaled mixed matrix element",
-        1e-6, lambda get=get: get().transform_side))
-    cases.append(_case(
-        cfg, "symbol-identity-osc-inverse",
-        "inverse transform of the mixed matrix element recovers the symbol",
-        1e-6, lambda get=get: get().inverse_side))
+    cases = []
+    for tag, K in kernels.items():
+        cases += _cases(cfg, [
+            (f"symbol-identity-{tag}-transform",
+             "transform of the symbol equals the scaled mixed matrix element", 1e-6),
+            (f"symbol-identity-{tag}-inverse",
+             "inverse transform of the mixed matrix element recovers the symbol", 1e-6),
+        ], lambda: quantum.symbol_identity_residual(K, sym_grid, out))
     return cases
 
 
@@ -395,15 +387,12 @@ def suite_kirkwood(cfg: RunConfig) -> list[CaseResult]:
     cases = []
     for n in (0, 1):
         psi = Signal(sax, table[n].astype(complex))
-        get = _memo(lambda psi=psi: quantum.wigner_to_kirkwood_residual(psi, wgrid, out))
-        cases.append(_case(
-            cfg, f"kirkwood-n{n}-qp",
-            "transform of the Wigner function equals the Kirkwood-Rihaczek form",
-            1e-6, lambda get=get: get().qp))
-        cases.append(_case(
-            cfg, f"kirkwood-n{n}-pq",
-            "inverse-kernel transform equals the anti-ordered Kirkwood form",
-            1e-6, lambda get=get: get().pq))
+        cases += _cases(cfg, [
+            (f"kirkwood-n{n}-qp",
+             "transform of the Wigner function equals the Kirkwood-Rihaczek form", 1e-6),
+            (f"kirkwood-n{n}-pq",
+             "inverse-kernel transform equals the anti-ordered Kirkwood form", 1e-6),
+        ], lambda: quantum.wigner_to_kirkwood_residual(psi, wgrid, out))
     return cases
 
 

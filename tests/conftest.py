@@ -10,7 +10,9 @@ settings.register_profile(
 )
 settings.load_profile("numerics")
 
-from chirpspace import PhaseGrid, SampledField, make_axis
+from scipy.interpolate import RegularGridInterpolator
+
+from chirpspace import Axis, PhaseGrid, SampledField, make_axis, trapezoid_weights
 from chirpspace.suites import _gaussian_poly_field as gaussian_poly_field  # noqa: F401
 
 
@@ -47,3 +49,43 @@ def naive_transform(h: SampledField, out: PhaseGrid, sign: int = +1) -> np.ndarr
         for j, y in enumerate(ys):
             res[i, j] = np.sum(g * np.exp(sign * 2j * (P - x) * (Q - y)))
     return res * h.grid.p_axis.step * h.grid.q_axis.step / np.pi
+
+
+def naive_weyl_symbol(values: np.ndarray, axis: Axis, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-point anti-diagonal quadrature, the oracle for weyl_symbol:
+
+        h(p, q) = 2 step sum_j w_j e^{-2i p j step} K(q + j step, q - j step),
+
+    over every j whose two reads stay on the axis, with bilinear reads of K,
+    trapezoid end weights, and weight 1 for a lone sample at an axis end.
+    """
+    x, step = axis.values, axis.step
+    read = RegularGridInterpolator((x, x), values, bounds_error=False, fill_value=None)
+    out = np.empty((len(p), len(q)), complex)
+    for b, qb in enumerate(q):
+        t = (qb - x[0]) / step
+        jmax = int(np.floor(min(t, axis.n - 1 - t) + 1e-12))
+        j = np.arange(-jmax, jmax + 1)
+        diag = read(np.column_stack((qb + j * step, qb - j * step)))
+        w = trapezoid_weights(len(j)) if jmax else np.ones(1)
+        for a, pa in enumerate(p):
+            out[a, b] = 2 * step * np.sum(w * diag * np.exp(-2j * pa * j * step))
+    return out
+
+
+def naive_weyl_quantize(h: SampledField, axis: Axis) -> np.ndarray:
+    """Per-pair p-quadrature, the oracle for weyl_quantize:
+
+        K(q1, q2) = (step_p / 2pi) sum_a w_a h(p_a, (q1+q2)/2) e^{i p_a (q1 - q2)},
+
+    with the midpoint read by np.interp along each symbol row.
+    """
+    p, hq = h.grid.p_axis.values, h.grid.q_axis.values
+    wp = trapezoid_weights(len(p))
+    q = axis.values
+    out = np.empty((len(q), len(q)), complex)
+    for i, q1 in enumerate(q):
+        for k, q2 in enumerate(q):
+            col = np.array([np.interp((q1 + q2) / 2, hq, row) for row in h.values])
+            out[i, k] = np.sum(wp * col * np.exp(1j * p * (q1 - q2)))
+    return out * h.grid.p_axis.step / (2 * np.pi)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from chirpspace import read_field_csv, write_field_csv
+from chirpspace import quantum, read_field_csv, write_field_csv
 from chirpspace.cli import main
 
 from conftest import gaussian_poly_field, square_grid
@@ -70,6 +70,32 @@ class TestVerifyCommand:
 
         assert canon(tmp_path / "a" / "report-gaussian.json") == \
             canon(tmp_path / "b" / "report-gaussian.json")
+
+    @pytest.mark.parametrize("suite", ["kirkwood", "symbol-identity"])
+    def test_shared_computation_billed_evenly_to_siblings(self, tmp_path, suite):
+        # each pair of cases reads two residuals off one computation
+        assert run_cli("verify", suite, "--out", str(tmp_path)) == 0
+        cases = json.loads((tmp_path / f"report-{suite}.json").read_text())["cases"]
+        assert len(cases) % 2 == 0
+        for a, b in zip(cases[::2], cases[1::2]):
+            assert a["runtime_ms"] == b["runtime_ms"] > 0
+            assert a["error"] is None and b["error"] is None
+
+    def test_raising_case_is_a_failed_case_with_its_error(self, tmp_path, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise RuntimeError("characteristic function unavailable")
+
+        monkeypatch.setattr(quantum, "char_function_qp", boom)
+        assert run_cli("verify", "charfun", "--out", str(tmp_path)) == 1
+        report = json.loads((tmp_path / "report-charfun.json").read_text())
+        assert report["overall_pass"] is False
+        assert [c["name"] for c in report["cases"]] == [
+            "charfun-closed", "charfun-trace", "charfun-conjugate"]
+        for c in report["cases"]:
+            assert c["pass"] is False
+            assert c["residual"] == float("inf")
+            assert c["error"] == "RuntimeError: characteristic function unavailable"
+        assert "characteristic function unavailable" in capsys.readouterr().out
 
 
 class TestTransformCommand:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chirpspace import (
     OperatorKernel,
     PhaseGrid,
+    SampledField,
     Signal,
     char_function_pq,
     char_function_qp,
@@ -27,10 +30,13 @@ from chirpspace import (
     wigner_to_kirkwood_residual,
 )
 
-from conftest import square_grid
+from conftest import naive_weyl_quantize, naive_weyl_symbol, square_grid
 
 SIG_AXIS = make_axis(-8.0, 8.0, 257)      # step 1/16
 OP_AXIS = make_axis(-9.0, 9.0, 145)       # step 1/8
+# the kirkwood suite's grids
+KIRKWOOD_WIGNER = square_grid(6.5, 209)
+KIRKWOOD_OUT = PhaseGrid(make_axis(-5.0, 5.0, 161), make_axis(-5.0, 5.0, 161))
 
 
 def state_signal(n):
@@ -40,6 +46,67 @@ def state_signal(n):
 def projector_kernel(n, axis=OP_AXIS):
     psi = hermite_functions(n, axis.values)[n]
     return OperatorKernel(axis, axis, np.outer(psi, psi).astype(complex))
+
+
+def boosted_gaussian(p0, q0):
+    """pi^{-1/4} e^{-(q-q0)^2/2 + i p0 q}: a complex state with both offsets."""
+    q = SIG_AXIS.values
+    return Signal(SIG_AXIS, np.pi**-0.25 * np.exp(-(q - q0)**2 / 2 + 1j * p0 * q))
+
+
+def random_complex(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def lattice_t(n):
+    """A position in axis cells: on a node, or strictly between two."""
+    return st.integers(0, n - 1) | st.builds(
+        lambda k, s: k + s, st.integers(0, n - 2), st.floats(0.05, 0.95))
+
+
+@st.composite
+def kernel_cases(draw):
+    """Random kernel on a small axis, plus an output grid whose q-range runs
+    between two lattice positions (nodes, the axis ends, or between nodes)."""
+    n = draw(st.integers(2, 12))
+    lo = draw(st.floats(-3.0, 0.0))
+    ax = make_axis(lo, lo + draw(st.floats(0.5, 6.0)), n)
+    ta, tb = draw(lattice_t(n)), draw(lattice_t(n))
+    if ta == tb:
+        ta, tb = 0, n - 1
+    ta, tb = sorted((ta, tb))
+    q_axis = make_axis(ax.min + ta * ax.step, ax.min + tb * ax.step, draw(st.integers(2, 7)))
+    p_max = draw(st.floats(0.5, 4.0))
+    grid = PhaseGrid(make_axis(-p_max, p_max, draw(st.integers(2, 6))), q_axis)
+    return OperatorKernel(ax, ax, random_complex(draw(st.integers(0, 2**32 - 1)), (n, n))), grid
+
+
+@st.composite
+def symbol_cases(draw):
+    """Random symbol (zero on the p-boundary) plus an operator axis inside its
+    q-range: the same axis, one sharing its ends, or a random sub-range."""
+    lo = draw(st.floats(-3.0, 0.0))
+    p_max = draw(st.floats(0.5, 4.0))
+    grid = PhaseGrid(make_axis(-p_max, p_max, draw(st.integers(3, 9))),
+                     make_axis(lo, lo + draw(st.floats(0.5, 6.0)), draw(st.integers(2, 12))))
+    vals = random_complex(draw(st.integers(0, 2**32 - 1)), grid.shape)
+    vals[0] = vals[-1] = 0.0
+    kind = draw(st.sampled_from(["same", "ends", "inside"]))
+    qa = grid.q_axis
+    if kind == "same":
+        return SampledField(grid, vals), qa
+    a, b = 0.0, 1.0
+    if kind == "inside":
+        a = draw(st.floats(0.0, 0.9))
+        b = draw(st.floats(a + 0.05, 1.0))
+    length = qa.max - qa.min
+    ax = make_axis(qa.min + a * length, qa.min + b * length, draw(st.integers(2, 10)))
+    return SampledField(grid, vals), ax
+
+
+def assert_close(got, ref):
+    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def trapz2(vals, grid):
@@ -57,8 +124,7 @@ class TestWignerOfSignal:
     def test_boosted_displaced_gaussian(self):
         # complex state: a conjugate on the wrong factor mirrors the peak to -p0
         p0, q0 = -1.5, 1.0
-        q = SIG_AXIS.values
-        psi = Signal(SIG_AXIS, np.pi**-0.25 * np.exp(-(q - q0)**2 / 2 + 1j * p0 * q))
+        psi = boosted_gaussian(p0, q0)
         grid = PhaseGrid(make_axis(-5, 5, 81), make_axis(-4, 4, 65))
         W = wigner_of_signal(psi, grid)
         P, Q = grid.meshes()
@@ -127,6 +193,16 @@ class TestWeylQuantize:
         with pytest.raises(ValueError, match="midpoints"):
             weyl_quantize(h, ax, ax)
 
+    def test_rejects_mismatched_axes(self):
+        h = sample_field(lambda P, Q: np.exp(-(P**2 + Q**2)), square_grid(8, 65))
+        with pytest.raises(ValueError, match="identical"):
+            weyl_quantize(h, make_axis(-2, 2, 9), make_axis(-2, 2, 11))
+
+    @given(symbol_cases())
+    def test_matches_per_pair_quadrature(self, case):
+        h, ax = case
+        assert_close(weyl_quantize(h, ax, ax).values, naive_weyl_quantize(h, ax))
+
 
 class TestWeylSymbol:
     def test_regularized_identity_kernel_symbol_near_one(self):
@@ -187,6 +263,12 @@ class TestWeylSymbol:
                            np.zeros((9, 11), complex))
         with pytest.raises(ValueError, match="identical"):
             weyl_symbol(K, square_grid(1, 5))
+
+    @given(kernel_cases())
+    def test_matches_per_point_quadrature(self, case):
+        K, grid = case
+        ref = naive_weyl_symbol(K.values, K.q1_axis, grid.p_axis.values, grid.q_axis.values)
+        assert_close(weyl_symbol(K, grid).values, ref)
 
 
 class TestMixedMatrixElement:
@@ -350,21 +432,31 @@ class TestKirkwoodClosed:
             assert abs(val.imag) < 1e-12
             assert val.real > 0
 
-    def test_anti_ordered_is_conjugate_for_real_states(self):
-        psi = state_signal(1)
-        val = kirkwood_pq_closed(psi, 0.7, -0.4)
-        ref = np.conj(kirkwood_qp_closed(psi, 0.7, -0.4))
-        assert val == pytest.approx(ref, abs=1e-12)
+    @pytest.mark.parametrize("p0, q0", [(0.7, -0.5), (1.2, 0.9)])
+    def test_boosted_displaced_gaussian_matches_analytic(self, p0, q0):
+        # conj psi(q) psi~(p) e^{ipq} / sqrt(2 pi) with
+        # psi~(p) = pi^{-1/4} e^{-(p-p0)^2/2 - i(p-p0)q0}
+        P, Q = KIRKWOOD_OUT.meshes()
+        conj_psi = np.pi**-0.25 * np.exp(-(Q - q0)**2 / 2 - 1j * p0 * Q)
+        ft = np.pi**-0.25 * np.exp(-(P - p0)**2 / 2 - 1j * (P - p0) * q0)
+        ref = conj_psi * ft * np.exp(1j * P * Q) / np.sqrt(2 * np.pi)
+        psi = boosted_gaussian(p0, q0)
+        assert np.abs(kirkwood_qp_closed(psi, P, Q) - ref).max() < 1e-10
+        assert np.abs(kirkwood_pq_closed(psi, P, Q) - np.conj(ref)).max() < 1e-10
 
 
 class TestWignerToKirkwood:
     def test_residuals_ground_and_excited(self):
-        wgrid = square_grid(6.5, 209)
-        out = PhaseGrid(make_axis(-5, 5, 161), make_axis(-5, 5, 161))
         for n in (0, 1):
-            res = wigner_to_kirkwood_residual(state_signal(n), wgrid, out)
+            res = wigner_to_kirkwood_residual(state_signal(n), KIRKWOOD_WIGNER, KIRKWOOD_OUT)
             assert res.qp < 1e-6
             assert res.pq < 1e-6
+
+    @pytest.mark.parametrize("p0, q0", [(0.7, -0.5), (1.2, 0.9)])
+    def test_residuals_boosted_displaced_gaussian(self, p0, q0):
+        res = wigner_to_kirkwood_residual(boosted_gaussian(p0, q0), KIRKWOOD_WIGNER, KIRKWOOD_OUT)
+        assert res.qp < 1e-6
+        assert res.pq < 1e-6
 
 
 CHAR_AXIS = make_axis(-12.0, 12.0, 241)
