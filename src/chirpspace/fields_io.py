@@ -5,75 +5,79 @@ Field files: header ``p,q,re,im``, one row per grid point in storage order
 write/read round trip is bit-exact.  Operator kernels use ``q1,q2,re,im``
 with the same layout.  Axes are reconstructed from the coordinate columns
 and validated for uniformity.
+Rows go through one ``np.savetxt`` and one ``np.loadtxt``; cells are plain
+numbers.
 """
 from __future__ import annotations
 
-import csv
-from pathlib import Path
+import warnings
 
 import numpy as np
 
 from .grid import Axis, PhaseGrid, SampledField
 from .quantum import OperatorKernel, validate_density
 
-__all__ = [
-    "write_field_csv",
-    "read_field_csv",
-    "write_operator_csv",
-    "read_operator_csv",
-]
-
-_FMT = "%.17g"
+__all__ = ["write_field_csv", "read_field_csv", "write_operator_csv", "read_operator_csv"]
 
 
 class CsvFormatError(ValueError):
     """Malformed field/operator CSV; message carries the 1-based line number."""
 
 
-def _write(path, header, c1, c2, values):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for a, b, v in zip(c1, c2, values):
-            w.writerow((_FMT % a, _FMT % b, _FMT % v.real, _FMT % v.imag))
+def _write(path, header: str, ax1: Axis, ax2: Axis, values: np.ndarray) -> None:
+    rows = np.column_stack((np.repeat(ax1.values, ax2.n), np.tile(ax2.values, ax1.n),
+                            values.real.ravel(), values.imag.ravel()))
+    # newline="" keeps the \r\n line ends untranslated on every platform
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=header, comments="")
 
 
 def write_field_csv(field: SampledField, path) -> None:
-    P, Q = field.grid.meshes()
-    _write(path, ("p", "q", "re", "im"), P.ravel(), Q.ravel(), field.values.ravel())
+    _write(path, "p,q,re,im", field.grid.p_axis, field.grid.q_axis, field.values)
 
 
 def write_operator_csv(kernel: OperatorKernel, path) -> None:
-    Q1, Q2 = np.meshgrid(kernel.q1_axis.values, kernel.q2_axis.values, indexing="ij")
-    _write(path, ("q1", "q2", "re", "im"), Q1.ravel(), Q2.ravel(), kernel.values.ravel())
+    _write(path, "q1,q2,re,im", kernel.q1_axis, kernel.q2_axis, kernel.values)
 
 
-def _read_rows(path, header):
-    path = Path(path)
-    rows = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file (line 1: expected header {','.join(header)})")
-        if [c.strip() for c in first] != list(header):
+def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
+    """(outer axis, inner axis, complex values) of a CSV with this header."""
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise CsvFormatError(f"{path}: empty file (line 1: expected header {header})")
+        if [c.strip() for c in first.split(",")] != header.split(","):
             raise CsvFormatError(
-                f"{path}: line 1: expected header {','.join(header)!r}, got {','.join(first)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise CsvFormatError(f"{path}: line {lineno}: expected 4 columns, got {len(row)}")
-            try:
-                rows.append(tuple(float(c) for c in row))
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    return np.asarray(rows)
+                f"{path}: line 1: expected header {header!r}, got {first.strip()!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: named by _reject
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # chained to the CsvFormatError
+            _reject(fh, path)
+        if data.size == 0 or data.shape[1] != 4:
+            _reject(fh, path)
+    ax1, ax2 = _axes_from_columns(data[:, 0], data[:, 1], path)
+    return ax1, ax2, (data[:, 2] + 1j * data[:, 3]).reshape(ax1.n, ax2.n)
+
+
+def _reject(fh, path) -> None:
+    """Raise the error for a body numpy rejected, naming its first bad line
+    (numpy's own row numbers are not file lines)."""
+    fh.seek(0)
+    rows = [(n, line.split(",")) for n, line in enumerate(fh.read().split("\n"), 1)
+            if n > 1 and line]
+    for lineno, cells in rows:
+        try:
+            if len(cells) != 4:
+                raise ValueError(f"expected 4 columns, got {len(cells)}")
+            list(map(float, cells))
+        except ValueError as err:
+            raise CsvFormatError(f"{path}: line {lineno}: {err}") from None
+    # no rows, or only cells that Python's float accepts and numpy does not (e.g. "1_0")
+    what = "a cell is not a plain decimal number" if rows else "no data rows"
+    raise CsvFormatError(f"{path}: {what}")
 
 
 def _axes_from_columns(c1: np.ndarray, c2: np.ndarray, path) -> tuple[Axis, Axis]:
@@ -104,19 +108,14 @@ def _axes_from_columns(c1: np.ndarray, c2: np.ndarray, path) -> tuple[Axis, Axis
 
 
 def read_field_csv(path) -> SampledField:
-    data = _read_rows(path, ("p", "q", "re", "im"))
-    ax_p, ax_q = _axes_from_columns(data[:, 0], data[:, 1], path)
-    values = (data[:, 2] + 1j * data[:, 3]).reshape(ax_p.n, ax_q.n)
+    ax_p, ax_q, values = _read(path, "p,q,re,im")
     return SampledField(PhaseGrid(ax_p, ax_q), values)
 
 
 def read_operator_csv(path, density: bool = False, tol: float = 1e-8) -> OperatorKernel:
     """Load an operator kernel; with density=True also validate the
     Hermiticity/unit-trace invariants."""
-    data = _read_rows(path, ("q1", "q2", "re", "im"))
-    ax1, ax2 = _axes_from_columns(data[:, 0], data[:, 1], path)
-    values = (data[:, 2] + 1j * data[:, 3]).reshape(ax1.n, ax2.n)
-    kernel = OperatorKernel(ax1, ax2, values)
+    kernel = OperatorKernel(*_read(path, "q1,q2,re,im"))
     if density:
         validate_density(kernel, tol)
     return kernel

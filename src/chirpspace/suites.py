@@ -84,15 +84,15 @@ class RunConfig:
             nums = val if isinstance(val, tuple) else (val,)
             if any(isinstance(v, float) and not np.isfinite(v) for v in nums):
                 raise ValueError(f"config field {f.name} must be finite, got {val}")
-        for name in ("field_n", "mid_n", "gaussian_n", "eval_n", "chirplet_n", "oracle_n",
-                     "charfun_n"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"config field {name} must be >= 2")
+            if f.name.endswith("_n") and val < 2:  # axis sample counts
+                raise ValueError(f"config field {f.name} must be >= 2")
+            positive = f.name.endswith("_extent") or f.name == "epsilons"
+            if positive and not all(v > 0 for v in nums):
+                raise ValueError(f"config field {f.name} must be > 0, got {val}")
         if self.n_fields < 1:
             raise ValueError("config field n_fields must be >= 1")
-        for eps in self.epsilons:
-            if not eps > 0:
-                raise ValueError(f"config field epsilons must be > 0, got {eps}")
+        if self.seed < 0:
+            raise ValueError(f"config field seed must be >= 0, got {self.seed}")
         for a in tuple(self.alphas) + tuple(self.oracle_alphas):
             if abs(np.sin(a)) < closedform.SIN_ALPHA_GUARD:
                 raise ValueError(

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -12,6 +15,7 @@ settings.load_profile("numerics")
 
 from scipy.interpolate import RegularGridInterpolator
 
+import chirpspace
 from chirpspace import Axis, PhaseGrid, SampledField, make_axis, trapezoid_weights
 from chirpspace.suites import _gaussian_poly_field as gaussian_poly_field  # noqa: F401
 
@@ -19,6 +23,14 @@ from chirpspace.suites import _gaussian_poly_field as gaussian_poly_field  # noq
 @pytest.fixture
 def rng():
     return np.random.default_rng(123)
+
+
+def package_env() -> dict:
+    """Environment for a subprocess that imports the same chirpspace as this
+    process: PYTHONPATH starts with the directory that holds the package."""
+    root = str(Path(chirpspace.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": root + (os.pathsep + rest if rest else "")}
 
 
 def square_grid(extent: float, n: int) -> PhaseGrid:

@@ -16,7 +16,7 @@ import pytest
 
 import chirpspace as cs
 
-from conftest import gaussian_poly_field, square_grid
+from conftest import gaussian_poly_field, package_env, square_grid
 
 TEN_FIELDS_SEED = 987
 
@@ -252,7 +252,7 @@ class TestAcceptance:
         ok_run = subprocess.run(
             [sys.executable, "-m", "chirpspace", "verify", "all",
              "--out", str(tmp_path / "ok")],
-            capture_output=True, text=True, timeout=600)
+            capture_output=True, text=True, timeout=600, env=package_env())
 
         cfg = tmp_path / "broken.json"
         cfg.write_text(json.dumps(
@@ -261,7 +261,7 @@ class TestAcceptance:
         bad_run = subprocess.run(
             [sys.executable, "-m", "chirpspace", "verify", "all",
              "--config", str(cfg)],
-            capture_output=True, text=True, timeout=600)
+            capture_output=True, text=True, timeout=600, env=package_env())
 
         report = json.loads((tmp_path / "ok" / "report-all.json").read_text())
         prefixes = {"roundtrip", "parseval", "gaussian", "chirplet", "oracle",

@@ -8,7 +8,7 @@ import pytest
 from chirpspace import quantum, read_field_csv, write_field_csv
 from chirpspace.cli import main
 
-from conftest import gaussian_poly_field, square_grid
+from conftest import gaussian_poly_field, package_env, square_grid
 
 
 def run_cli(*argv):
@@ -189,11 +189,15 @@ class TestUsageErrors:
         ("verify", "gaussian", "--config", {"alphas": 1.0}),
         ("verify", "gaussian", "--config", {"tolerance_overrides": [1]}),
         ("verify", "roundtrip", "--config", {"field_extent": float("nan")}),
+        ("verify", "charfun", "--config", {"charfun_extent": -3.0}),
+        ("verify", "roundtrip", "--config", {"field_extent": 0.0}),
+        ("verify", "roundtrip", "--config", {"seed": -1}),
         ("verify", "chirplet-kernel", "--alpha", "nan"),
         ("kernel", "--alpha", "1.0", "--method", "hermite", "--terms", "0",
          "--grid=-1,1,3;-1,1,3"),
     ], ids=["config-list", "config-str-int", "config-scalar-list",
-            "config-list-dict", "config-nan-extent", "alpha-nan", "hermite-zero-terms"])
+            "config-list-dict", "config-nan-extent", "config-negative-extent",
+            "config-zero-extent", "config-negative-seed", "alpha-nan", "hermite-zero-terms"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
         args = []
         for a in argv:
@@ -212,6 +216,6 @@ class TestSubprocessEntry:
         proc = subprocess.run(
             [sys.executable, "-m", "chirpspace", "verify", "gaussian",
              "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300, env=package_env())
         assert proc.returncode == 0, proc.stderr
         assert "suite gaussian: PASS" in proc.stdout

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +8,8 @@ from hypothesis import strategies as st
 
 from chirpspace import (
     OperatorKernel,
+    PhaseGrid,
+    SampledField,
     hermite_functions,
     make_axis,
     read_field_csv,
@@ -117,3 +122,83 @@ class TestOperatorCsv:
         write_operator_csv(bad, path)
         with pytest.raises(ValueError, match="trace"):
             read_operator_csv(path, density=True)
+
+
+def write_text(path, text):
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+GRID_2x2 = PhaseGrid(make_axis(0.0, 1.0, 2), make_axis(-0.5, 0.25, 2))
+ROWS_2x2 = "0,-0.5,1,2\n0,0.25,3,4\n1,-0.5,5,6\n1,0.25,7,8\n"
+
+
+class TestCsvReaderEdgeCases:
+    """Cells are unquoted numbers and blank lines are skipped; a malformed
+    body raises CsvFormatError naming its first bad line where it can."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_is_no_data_rows_without_warning(self, tmp_path):
+        for body in ("", "\r\n\r\n"):
+            path = write_text(tmp_path / "f.csv", "p,q,re,im\r\n" + body)
+            with pytest.raises(CsvFormatError, match="no data rows"):
+                read_field_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        text = "p,q,re,im\r\n0,-0.5,1,2\r\n\r\n0,0.25,3,4\n\n1,-0.5,5,6\n1,0.25,7,8\n\n\n"
+        h = read_field_csv(write_text(tmp_path / "f.csv", text))
+        assert h.grid == GRID_2x2
+        assert np.array_equal(h.values, [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
+
+    @pytest.mark.parametrize("body, line, got", [
+        ("0,-0.5,1\n0,0.25,3\n1,-0.5,5\n1,0.25,7\n", 2, 3),
+        ("0,-0.5,1\n0,0.25,3,4\n1,-0.5,5,6\n1,0.25,7,8\n", 2, 3),
+        ("0,-0.5,1,2\n0,0.25,3,4\n1,-0.5,5,6,0\n1,0.25,7,8\n", 4, 5),
+        ("# a comment is a 1-column row\n" + ROWS_2x2, 2, 1),
+    ], ids=["all-3-columns", "first-row-3-columns", "line-4-5-columns", "comment-line"])
+    def test_wrong_column_count_names_line(self, tmp_path, body, line, got):
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + body)
+        with pytest.raises(CsvFormatError, match=f"line {line}: expected 4 columns, got {got}"):
+            read_field_csv(path)
+
+    def test_cell_python_accepts_and_numpy_rejects(self, tmp_path):
+        # float("1_0") == 10.0, so the rescan cannot name a line
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + ROWS_2x2.replace("5,6", "1_0,6"))
+        with pytest.raises(CsvFormatError, match="plain decimal number"):
+            read_field_csv(path)
+
+    def test_quoted_cell_names_line(self, tmp_path):
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + ROWS_2x2.replace("7,8", '"7",8'))
+        with pytest.raises(CsvFormatError, match="line 5"):
+            read_field_csv(path)
+
+    def test_exact_bytes_of_a_2x2_write(self, tmp_path):
+        vals = np.array([[1 / 3, -2.5 + 1e-20j], [0.1 - 0.2j, 1e300]])
+        path = tmp_path / "f.csv"
+        write_field_csv(SampledField(GRID_2x2, vals), path)
+        assert path.read_bytes() == (
+            b"p,q,re,im\r\n"
+            b"0,-0.5,0.33333333333333331,0\r\n"
+            b"0,0.25,-2.5,9.9999999999999995e-21\r\n"
+            b"1,-0.5,0.10000000000000001,-0.20000000000000001\r\n"
+            b"1,0.25,1.0000000000000001e+300,0\r\n"
+        )
+
+    def test_operator_bad_value_names_line(self, tmp_path):
+        body = ROWS_2x2.replace("3,4", "3,four")
+        path = write_text(tmp_path / "op.csv", "q1,q2,re,im\n" + body)
+        with pytest.raises(CsvFormatError, match="line 3: could not convert"):
+            read_operator_csv(path)
+
+    @given(body=st.text(max_size=60)
+           | st.text(st.sampled_from("0123456789.,-+eE_ \t\r\n\"#infa\x00"), max_size=80)
+           | st.lists(st.lists(st.sampled_from(["0", "1", "-0.5", "0.25", "nan", "1e400", "x",
+                                                "", " 1", "1_0", '"1"']), max_size=5)
+                      .map(",".join), max_size=6).map("\n".join))
+    def test_arbitrary_body_reads_or_raises_value_error(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_text(Path(tmp) / "f.csv", "p,q,re,im\n" + body)
+            try:
+                read_field_csv(path)
+            except ValueError:
+                pass

@@ -37,6 +37,9 @@ OP_AXIS = make_axis(-9.0, 9.0, 145)       # step 1/8
 # the kirkwood suite's grids
 KIRKWOOD_WIGNER = square_grid(6.5, 209)
 KIRKWOOD_OUT = PhaseGrid(make_axis(-5.0, 5.0, 161), make_axis(-5.0, 5.0, 161))
+# the symbol-identity suite's grids; its operator axis is SIG_AXIS
+SYMBOL_GRID = PhaseGrid(make_axis(-6.0, 6.0, 129), make_axis(-6.0, 6.0, 97))
+SYMBOL_OUT = PhaseGrid(make_axis(-7.0, 7.0, 225), make_axis(-7.0, 7.0, 225))
 
 
 def state_signal(n):
@@ -314,20 +317,23 @@ class TestMixedMatrixElement:
 
 class TestSymbolIdentity:
     def test_projector_residuals(self):
-        op = make_axis(-8, 8, 257)
-        sym_grid = PhaseGrid(make_axis(-6, 6, 129), make_axis(-6, 6, 97))
-        out = PhaseGrid(make_axis(-7, 7, 225), make_axis(-7, 7, 225))
         for n in (0, 1):
-            res = symbol_identity_residual(projector_kernel(n, op), sym_grid, out)
+            res = symbol_identity_residual(projector_kernel(n, SIG_AXIS), SYMBOL_GRID, SYMBOL_OUT)
             assert res.transform_side < 1e-6
             assert res.inverse_side < 1e-6
 
     def test_oscillator_exponential_residuals(self):
-        op = make_axis(-8, 8, 257)
-        K = oscillator_exponential_kernel(-np.log(3.0), make_hermite_basis(60, op))
-        sym_grid = PhaseGrid(make_axis(-6, 6, 129), make_axis(-6, 6, 97))
-        out = PhaseGrid(make_axis(-7, 7, 225), make_axis(-7, 7, 225))
-        res = symbol_identity_residual(K, sym_grid, out)
+        K = oscillator_exponential_kernel(-np.log(3.0), make_hermite_basis(60, SIG_AXIS))
+        res = symbol_identity_residual(K, SYMBOL_GRID, SYMBOL_OUT)
+        assert res.transform_side < 1e-6
+        assert res.inverse_side < 1e-6
+
+    @pytest.mark.parametrize("p0, q0", [(0.7, -0.5), (1.2, 0.9)])
+    def test_boosted_displaced_gaussian_residuals(self, p0, q0):
+        # |psi><psi| of a complex state: its Weyl symbol is not even in p
+        psi = boosted_gaussian(p0, q0).values
+        K = OperatorKernel(SIG_AXIS, SIG_AXIS, np.outer(psi, psi.conj()))
+        res = symbol_identity_residual(K, SYMBOL_GRID, SYMBOL_OUT)
         assert res.transform_side < 1e-6
         assert res.inverse_side < 1e-6
 
