@@ -10,6 +10,7 @@ numbers.
 """
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -56,15 +57,16 @@ def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError:  # chained to the CsvFormatError
             _reject(fh, path)
-        if data.size == 0 or data.shape[1] != 4:
+        if data.size == 0 or data.shape[1] != 4 or not np.isfinite(data[:, :2]).all():
             _reject(fh, path)
     ax1, ax2 = _axes_from_columns(data[:, 0], data[:, 1], path)
     return ax1, ax2, (data[:, 2] + 1j * data[:, 3]).reshape(ax1.n, ax2.n)
 
 
 def _reject(fh, path) -> None:
-    """Raise the error for a body numpy rejected, naming its first bad line
-    (numpy's own row numbers are not file lines)."""
+    """Raise the error for a body numpy rejected, or one with a non-finite
+    coordinate, naming its first bad line (numpy's own row numbers are not
+    file lines)."""
     fh.seek(0)
     rows = [(n, line.split(",")) for n, line in enumerate(fh.read().split("\n"), 1)
             if n > 1 and line]
@@ -72,7 +74,9 @@ def _reject(fh, path) -> None:
         try:
             if len(cells) != 4:
                 raise ValueError(f"expected 4 columns, got {len(cells)}")
-            list(map(float, cells))
+            c1, c2, _, _ = map(float, cells)
+            if not (math.isfinite(c1) and math.isfinite(c2)):
+                raise ValueError("coordinates must be finite")
         except ValueError as err:
             raise CsvFormatError(f"{path}: line {lineno}: {err}") from None
     # no rows, or only cells that Python's float accepts and numpy does not (e.g. "1_0")

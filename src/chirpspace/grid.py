@@ -68,6 +68,20 @@ class Axis:
         v[-1] = self.max
         return v
 
+    def cell(self, at):
+        """``(i, s)`` with ``at = values[i] + s*step``, for a scalar or an array.
+
+        ``i`` is clipped to [0, n-2], so ``i + 1`` is a valid index and
+        ``(1 - s)*v[i] + s*v[i+1]`` reads a sampled ``v`` linearly; ``s`` leaves
+        [0, 1] beyond the axis.  A point within 1e-12 cells of a node snaps
+        onto it: ``s`` is then exactly 0, or exactly 1 at the last node.
+        """
+        t = (np.asarray(at, dtype=float) - self.min) / self.step
+        k = np.round(t)
+        t = np.where(np.abs(t - k) < 1e-12, k, t)
+        i = np.clip(np.floor(t), 0, self.n - 2).astype(int)
+        return i, t - i
+
 
 def make_axis(lo: float, hi: float, n: int) -> Axis:
     """Validated axis constructor. See :class:`Axis` for the sample formula."""

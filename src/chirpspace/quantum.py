@@ -34,6 +34,7 @@ from .grid import (
     PhaseGrid,
     SampledField,
     Signal,
+    _check_values,
     sample_field,
     trapezoid_weights,
 )
@@ -74,14 +75,8 @@ class OperatorKernel:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=complex)
         shape = (self.q1_axis.n, self.q2_axis.n)
-        if arr.shape != shape:
-            raise ValueError(f"kernel shape {arr.shape} does not match axes {shape}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("kernel contains non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _check_values(self.values, shape, "kernel"))
 
 
 def validate_density(rho: OperatorKernel, tol: float = 1e-8) -> None:
@@ -125,14 +120,6 @@ def make_hermite_basis(n_max: int, axis: Axis) -> HermiteBasis:
 # ---------------------------------------------------------------------------
 # interpolation helpers
 
-def _linear_1d(values: np.ndarray, axis: Axis, at: np.ndarray) -> np.ndarray:
-    """Linear interpolation, exact on grid nodes; caller guarantees range."""
-    t = (np.asarray(at) - axis.min) / axis.step
-    i0 = np.clip(np.floor(t).astype(int), 0, axis.n - 2)
-    s = t - i0
-    return (1.0 - s) * values[i0] + s * values[i0 + 1]
-
-
 def _check_within(axis: Axis, lo: float, hi: float, what: str, where: str) -> None:
     """Reject a requested range [lo, hi] that leaves the axis (1e-12 slack)."""
     if lo < axis.min - 1e-12 or hi > axis.max + 1e-12:
@@ -155,11 +142,9 @@ def _antidiagonal_transform(values: np.ndarray, axis: Axis,
     """
     n, step = axis.n, axis.step
     _check_within(axis, q_out.min(), q_out.max(), "requested q-range", "kernel axis")
-    t = np.clip((q_out - axis.min) / step, 0.0, n - 1.0)
-    k0 = np.minimum(np.floor(t + 1e-12).astype(int), n - 1)
-    s = t - k0
-    s[s < 1e-12] = 0.0
-    jmax = np.minimum(k0, np.where(s == 0.0, n - 1, n - 2) - k0)
+    k0, s = axis.cell(q_out)
+    # a fractional q also reads row/column k0 + 1
+    jmax = np.minimum(k0, n - 1 - k0 - (s > 0.0))
     j = np.arange(1 - n, n)[:, None]
     # trapezoid weights per column; a one-sample column (axis end) keeps weight 1
     w = np.where((np.abs(j) == jmax) & (jmax > 0), 0.5, 1.0) * (np.abs(j) <= jmax)
@@ -219,9 +204,7 @@ def weyl_quantize(h: SampledField, q1_axis: Axis, q2_axis: Axis) -> OperatorKern
     F = (np.exp(1j * np.outer(d, ax_p.values)) @ wh) * ax_p.step / (2.0 * np.pi)
     i = np.arange(n)
     row = i[:, None] - i[None, :] + n - 1
-    t = ((q[:, None] + q[None, :]) / 2.0 - ax_q.min) / ax_q.step
-    j0 = np.clip(np.floor(t).astype(int), 0, ax_q.n - 2)
-    s = t - j0
+    j0, s = ax_q.cell((q[:, None] + q[None, :]) / 2.0)
     vals = F[row, j0] * (1.0 - s) + F[row, j0 + 1] * s
     return OperatorKernel(q1_axis, q2_axis, vals)
 
@@ -364,7 +347,8 @@ def kirkwood_qp_closed(psi: Signal, p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     ft = _dense_fourier(psi.axis, psi.values, p.ravel()).reshape(p.shape)
-    pq = _linear_1d(psi.values, psi.axis, q)
+    i, s = psi.axis.cell(q)
+    pq = (1.0 - s) * psi.values[i] + s * psi.values[i + 1]
     out = np.conj(pq) * ft * np.exp(1j * p * q) / np.sqrt(2.0 * np.pi)
     return complex(out) if out.ndim == 0 else out
 

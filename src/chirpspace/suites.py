@@ -86,13 +86,17 @@ class RunConfig:
                 raise ValueError(f"config field {f.name} must be finite, got {val}")
             if f.name.endswith("_n") and val < 2:  # axis sample counts
                 raise ValueError(f"config field {f.name} must be >= 2")
-            positive = f.name.endswith("_extent") or f.name == "epsilons"
+            positive = f.name.endswith("_extent") or f.name in (
+                "epsilons", "damp", "gaussian_lambdas")
             if positive and not all(v > 0 for v in nums):
                 raise ValueError(f"config field {f.name} must be > 0, got {val}")
         if self.n_fields < 1:
             raise ValueError("config field n_fields must be >= 1")
         if self.seed < 0:
             raise ValueError(f"config field seed must be >= 0, got {self.seed}")
+        if not all(t >= 0 for t in self.tolerance_overrides.values()):
+            raise ValueError("config field tolerance_overrides values must be >= 0, "
+                             f"got {self.tolerance_overrides}")
         for a in tuple(self.alphas) + tuple(self.oracle_alphas):
             if abs(np.sin(a)) < closedform.SIN_ALPHA_GUARD:
                 raise ValueError(
@@ -182,6 +186,12 @@ def _case(cfg: RunConfig, name: str, identity: str, tolerance: float, fn) -> Cas
     return _cases(cfg, [(name, identity, tolerance)], lambda: [fn()])[0]
 
 
+def _worst(residuals) -> float:
+    """Largest residual, 0.0 for none, NaN if any is NaN (Python's ``max``
+    drops a NaN that does not come first)."""
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
+
+
 def _square_grid(extent: float, n: int) -> PhaseGrid:
     ax = make_axis(-extent, extent, n)
     return PhaseGrid(ax, ax)
@@ -214,12 +224,8 @@ def suite_roundtrip(cfg: RunConfig) -> list[CaseResult]:
 
     def run(path):
         fwd, inv = xform._FORWARD[path], xform._INVERSE[path]
-        worst = 0.0
-        for h in fields:
-            back = inv(fwd(h, mid), grid)
-            worst = max(worst, np.linalg.norm(back.values - h.values)
-                        / np.linalg.norm(h.values))
-        return worst
+        return _worst(np.linalg.norm(inv(fwd(h, mid), grid).values - h.values)
+                      / np.linalg.norm(h.values) for h in fields)
 
     return [
         _case(cfg, "roundtrip-fast", label, 1e-6, lambda: run("fast")),
@@ -232,7 +238,7 @@ def suite_parseval(cfg: RunConfig) -> list[CaseResult]:
     label = "squared-norm preservation under the transform (Parseval)"
 
     def run():
-        return max(xform.parseval_residual(h, mid) for h in fields)
+        return _worst(xform.parseval_residual(h, mid) for h in fields)
 
     def run_hg():
         P, Q = grid.meshes()
@@ -272,8 +278,7 @@ def suite_chirplet_kernel(cfg: RunConfig) -> list[CaseResult]:
         def run_monotone(alpha=alpha):
             rs = [closedform.chirplet_identity_residual(alpha, eps, cgrid, out).quadrature
                   for eps in sorted(cfg.epsilons, reverse=True)]
-            ratios = [rs[i + 1] / rs[i] for i in range(len(rs) - 1)]
-            return max(ratios) if ratios else 0.0
+            return _worst(rs[i + 1] / rs[i] for i in range(len(rs) - 1))
 
         cases.append(_case(
             cfg, f"chirplet-closed-{alpha:.4f}",
@@ -404,24 +409,17 @@ def suite_charfun(cfg: RunConfig) -> list[CaseResult]:
     uv = make_axis(-cfg.charfun_extent, cfg.charfun_extent, cfg.charfun_n).values
 
     def run_closed():
-        worst = 0.0
-        for u in uv:
-            for v in uv:
-                val = quantum.char_function_qp(rho, basis, u, v)
-                ref = np.exp(-(u**2 + v**2) / 4) * np.exp(-1j * u * v / 2)
-                worst = max(worst, abs(val - ref))
-        return worst
+        return _worst(abs(quantum.char_function_qp(rho, basis, u, v)
+                          - np.exp(-(u**2 + v**2) / 4) * np.exp(-1j * u * v / 2))
+                      for u in uv for v in uv)
 
     def run_trace():
         return abs(quantum.char_function_qp(rho, basis, 0.0, 0.0) - 1.0)
 
     def run_conj():
-        worst = 0.0
-        for u, v in ((0.7, -1.3), (2.0, 1.1), (-1.7, 0.4)):
-            a = quantum.char_function_pq(rho, basis, u, v)
-            b = quantum.char_function_qp(rho, basis, -u, -v)
-            worst = max(worst, abs(a - np.conj(b)))
-        return worst
+        return _worst(abs(quantum.char_function_pq(rho, basis, u, v)
+                          - np.conj(quantum.char_function_qp(rho, basis, -u, -v)))
+                      for u, v in ((0.7, -1.3), (2.0, 1.1), (-1.7, 0.4)))
 
     return [
         _case(cfg, "charfun-closed",

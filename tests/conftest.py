@@ -101,3 +101,34 @@ def naive_weyl_quantize(h: SampledField, axis: Axis) -> np.ndarray:
             col = np.array([np.interp((q1 + q2) / 2, hq, row) for row in h.values])
             out[i, k] = np.sum(wp * col * np.exp(1j * p * (q1 - q2)))
     return out * h.grid.p_axis.step / (2 * np.pi)
+
+
+def naive_shifted_form(h: SampledField, out: PhaseGrid) -> np.ndarray:
+    """Per-point quadrature, the oracle for forward_shifted_form:
+
+        f(x, y) = (dp dq / 2pi) sum_jk w_j w_k h(p_j + x, y + q_k/2) e^{i p_j q_k},
+
+    on the same integration lattice (p at h's p-step, q at twice h's q-step,
+    padded by the output extent), with h read by scipy's linear
+    RegularGridInterpolator on h's grid padded with a ring of zeros, and zero
+    beyond that ring.
+    """
+    ax_p, ax_q = h.grid.p_axis, h.grid.q_axis
+    xs, ys = out.p_axis.values, out.q_axis.values
+    pad_x, pad_y = np.abs(xs[[0, -1]]).max(), np.abs(ys[[0, -1]]).max()
+    dp, dq = ax_p.step, 2.0 * ax_q.step
+    n_p = int(np.ceil((ax_p.max - ax_p.min + 2 * pad_x) / dp)) + 1
+    n_q = int(np.ceil(2 * (ax_q.max - ax_q.min + 2 * pad_y) / dq)) + 1
+    p = (ax_p.min - pad_x) + dp * np.arange(n_p)
+    q = 2.0 * (ax_q.min - pad_y) + dq * np.arange(n_q)
+    ring = lambda ax: np.concatenate(([ax.min - ax.step], ax.values, [ax.max + ax.step]))
+    read = RegularGridInterpolator((ring(ax_p), ring(ax_q)), np.pad(h.values, 1),
+                                   bounds_error=False, fill_value=0.0)
+    w = np.outer(trapezoid_weights(n_p), trapezoid_weights(n_q))
+    P, Q = np.meshgrid(p, q, indexing="ij")
+    res = np.empty((len(xs), len(ys)), complex)
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            hv = read(np.stack((P + x, y + Q / 2), axis=-1))
+            res[a, b] = np.sum(w * hv * np.exp(1j * P * Q))
+    return res * dp * dq / (2 * np.pi)

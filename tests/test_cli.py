@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from chirpspace import quantum, read_field_csv, write_field_csv
+from chirpspace import quantum, read_field_csv, suites, write_field_csv
 from chirpspace.cli import main
 
 from conftest import gaussian_poly_field, package_env, square_grid
@@ -96,6 +96,35 @@ class TestVerifyCommand:
             assert c["residual"] == float("inf")
             assert c["error"] == "RuntimeError: characteristic function unavailable"
         assert "characteristic function unavailable" in capsys.readouterr().out
+
+
+class TestNanResidual:
+    @pytest.mark.parametrize("rs", [[0.1, np.nan, 0.2], [np.nan, 0.1]])
+    def test_worst_propagates_nan(self, rs):
+        assert np.isnan(suites._worst(rs))
+        assert np.isnan(suites._worst(iter(rs)))
+
+    def test_worst_of_numbers_and_of_none(self):
+        assert suites._worst([0.1, 0.3, 0.2]) == 0.3
+        assert suites._worst([]) == 0.0
+
+    def test_nan_at_second_point_fails_charfun_closed(self, tmp_path, monkeypatch):
+        calls = []
+
+        def closed_form_then_nan(rho, basis, u, v):
+            calls.append((u, v))
+            if len(calls) == 2:
+                return complex(np.nan)
+            return complex(np.exp(-(u**2 + v**2) / 4) * np.exp(-1j * u * v / 2))
+
+        monkeypatch.setattr(quantum, "char_function_qp", closed_form_then_nan)
+        assert run_cli("verify", "charfun", "--out", str(tmp_path)) == 1
+        cases = {c["name"]: c for c in
+                 json.loads((tmp_path / "report-charfun.json").read_text())["cases"]}
+        assert cases["charfun-closed"]["pass"] is False
+        assert np.isnan(cases["charfun-closed"]["residual"])
+        assert cases["charfun-closed"]["error"] is None
+        assert cases["charfun-trace"]["pass"] is True
 
 
 class TestTransformCommand:
@@ -192,12 +221,20 @@ class TestUsageErrors:
         ("verify", "charfun", "--config", {"charfun_extent": -3.0}),
         ("verify", "roundtrip", "--config", {"field_extent": 0.0}),
         ("verify", "roundtrip", "--config", {"seed": -1}),
+        ("verify", "roundtrip", "--config", {"damp": -5.0}),
+        ("verify", "roundtrip", "--config", {"damp": 0.0}),
+        ("verify", "gaussian", "--config", {"gaussian_lambdas": [1.0, -2.0]}),
+        ("verify", "gaussian", "--config",
+         {"tolerance_overrides": {"gaussian-lam-1": float("nan")}}),
+        ("verify", "gaussian", "--config", {"tolerance_overrides": {"gaussian-lam-1": -1e-6}}),
         ("verify", "chirplet-kernel", "--alpha", "nan"),
         ("kernel", "--alpha", "1.0", "--method", "hermite", "--terms", "0",
          "--grid=-1,1,3;-1,1,3"),
     ], ids=["config-list", "config-str-int", "config-scalar-list",
             "config-list-dict", "config-nan-extent", "config-negative-extent",
-            "config-zero-extent", "config-negative-seed", "alpha-nan", "hermite-zero-terms"])
+            "config-zero-extent", "config-negative-seed", "config-negative-damp",
+            "config-zero-damp", "config-negative-lambda", "config-nan-tolerance",
+            "config-negative-tolerance", "alpha-nan", "hermite-zero-terms"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
         args = []
         for a in argv:

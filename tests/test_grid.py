@@ -42,6 +42,40 @@ class TestAxis:
         k = np.arange(n - 1)
         assert np.array_equal(v[:-1], ax.min + k * ax.step)
 
+    @given(
+        c=st.floats(-2, 1),
+        width=st.floats(1e-3, 1e3),
+        n=st.integers(2, 200),
+        frac=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=20),
+    )
+    def test_cell_locates_points(self, c, width, n, frac):
+        ax = make_axis(c * width, (c + 1) * width, n)
+        at = ax.min + np.array(frac) * width
+        i, s = ax.cell(at)
+        assert np.all((0 <= i) & (i <= n - 2))
+        scale = abs(ax.min) + abs(ax.max) + ax.step
+        assert np.allclose(ax.values[i] + s * ax.step, at, rtol=0, atol=1e-12 * scale)
+
+    @given(c=st.floats(-2, 1), width=st.floats(1e-3, 1e3), n=st.integers(2, 200),
+           seed=st.integers(0, 10_000))
+    def test_cell_of_a_node_is_that_node(self, c, width, n, seed):
+        ax = make_axis(c * width, (c + 1) * width, n)
+        i, s = ax.cell(ax.values)
+        # s == 0 on every node but the last, which is i = n-2, s = 1
+        assert np.array_equal(i[:-1], np.arange(n - 1)) and np.all(s[:-1] == 0.0)
+        assert (i[-1], s[-1]) == (n - 2, 1.0)
+        assert ax.cell(ax.min) == (0, 0.0)
+        assert ax.cell(ax.max) == (n - 2, 1.0)
+        v = np.random.default_rng(seed).standard_normal(n)
+        assert np.array_equal((1 - s) * v[i] + s * v[i + 1], v)
+
+    def test_cell_snaps_within_1e12_cells(self):
+        ax = make_axis(0, 10, 11)
+        i, s = ax.cell(np.array([3 + 5e-13, 3 - 5e-13, 3 + 5e-12, 0.25]))
+        assert list(i) == [3, 3, 3, 0]
+        assert list(s[:2]) == [0.0, 0.0] and s[2] == pytest.approx(5e-12)
+        assert s[3] == 0.25
+
     @pytest.mark.parametrize(
         "args",
         [(-6, 6, 1), (6, -6, 10), (0, 0, 10), (np.nan, 1, 4), (0, np.inf, 4)],

@@ -184,6 +184,17 @@ class TestCsvReaderEdgeCases:
             b"1,0.25,1.0000000000000001e+300,0\r\n"
         )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("old, new, line", [
+        ("1,-0.5,5,6", "inf,-0.5,5,6", 4),
+        ("0,0.25,3,4", "0,1e400,3,4", 3),
+        ("1,0.25,7,8", "1,nan,7,8", 5),
+    ], ids=["p-inf", "q-overflow", "q-nan"])
+    def test_nonfinite_coordinate_names_line(self, tmp_path, old, new, line):
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + ROWS_2x2.replace(old, new))
+        with pytest.raises(CsvFormatError, match=f"line {line}: coordinates must be finite"):
+            read_field_csv(path)
+
     def test_operator_bad_value_names_line(self, tmp_path):
         body = ROWS_2x2.replace("3,4", "3,four")
         path = write_text(tmp_path / "op.csv", "q1,q2,re,im\n" + body)

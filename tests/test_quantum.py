@@ -450,6 +450,17 @@ class TestKirkwoodClosed:
         assert np.abs(kirkwood_qp_closed(psi, P, Q) - ref).max() < 1e-10
         assert np.abs(kirkwood_pq_closed(psi, P, Q) - np.conj(ref)).max() < 1e-10
 
+    def test_off_lattice_q_reads_psi_linearly(self):
+        psi = boosted_gaussian(0.7, -0.5)
+        x, v = psi.axis.values, psi.values
+        q = np.array([x[0], -1.0 + 1 / 48, 0.3, 2.0 - 1 / 40, x[-1]])
+        p = 0.4
+        ft = (np.sum(trapezoid_weights(len(x)) * np.exp(-1j * p * x) * v)
+              * psi.axis.step / np.sqrt(2 * np.pi))
+        read = np.interp(q, x, v.real) + 1j * np.interp(q, x, v.imag)
+        ref = np.conj(read) * ft * np.exp(1j * p * q) / np.sqrt(2 * np.pi)
+        assert np.allclose(kirkwood_qp_closed(psi, p, q), ref, rtol=1e-12, atol=0)
+
 
 class TestWignerToKirkwood:
     def test_residuals_ground_and_excited(self):

@@ -20,6 +20,7 @@ from chirpspace import (
 from conftest import (
     assert_chirp_resolved,
     gaussian_poly_field,
+    naive_shifted_form,
     naive_transform,
     square_grid,
 )
@@ -195,3 +196,32 @@ class TestShiftedForm:
         z = SampledField(grid, np.zeros(grid.shape))
         out = square_grid(1, 3)
         assert np.abs(forward_shifted_form(z, out).values).max() == 0.0
+
+    @given(
+        bounds=st.lists(st.floats(0.5, 3.0), min_size=4, max_size=4),
+        n_p=st.integers(2, 12),
+        n_q=st.integers(2, 12),
+        out_lo=st.tuples(st.floats(-1.5, 0.0), st.floats(-1.5, 0.0)),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_per_point_quadrature(self, bounds, n_p, n_q, out_lo, seed):
+        # random values have not decayed at the boundary, so the reads past
+        # the grid edge (zero beyond it) carry weight
+        grid = PhaseGrid(make_axis(-bounds[0], bounds[1], n_p),
+                         make_axis(-bounds[2], bounds[3], n_q))
+        out = PhaseGrid(make_axis(out_lo[0], out_lo[0] + 1.3, 3),
+                        make_axis(out_lo[1], out_lo[1] + 0.9, 4))
+        r = np.random.default_rng(seed)
+        h = SampledField(grid, r.standard_normal(grid.shape)
+                         + 1j * r.standard_normal(grid.shape))
+        ref = naive_shifted_form(h, out)
+        got = forward_shifted_form(h, out).values
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_flat_field_matches_per_point_quadrature(self):
+        grid = PhaseGrid(make_axis(-3, 3, 24), make_axis(-2.5, 3.5, 19))
+        out = PhaseGrid(make_axis(-1, 1.5, 4), make_axis(-2, 0.7, 3))
+        h = SampledField(grid, np.ones(grid.shape))
+        ref = naive_shifted_form(h, out)
+        got = forward_shifted_form(h, out).values
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
