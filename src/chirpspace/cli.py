@@ -143,7 +143,7 @@ def _cmd_transform(args) -> int:
 def _cmd_kernel(args) -> int:
     try:
         grid = _parse_grid_spec(args.grid)
-        X, Y = grid.meshes()
+        X, Y = grid.p_axis.values[:, None], grid.q_axis.values[None, :]
         closed = closedform.frft_kernel(args.alpha, X, Y)
         vals = (closedform.frft_kernel_hermite(args.alpha, X, Y, args.terms)
                 if args.method == "hermite" else closed)

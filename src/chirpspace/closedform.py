@@ -147,17 +147,16 @@ def frft_kernel_hermite(alpha: float, x, y, n_terms: int):
     conditionally; the taper extracts its Abel limit).  Converges to
     ``frft_kernel`` and thereby pins the square-root branch.  Accuracy
     requires n_terms well above (|x|+|y|)^2 / (2 dist(alpha, pi Z)^2).
+    x and y broadcast; broadcast axes (``xs[:, None]``, ``ys[None, :]``) keep
+    the Hermite tables at n_terms x len(xs) and n_terms x len(ys).
     """
     alpha = float(alpha)
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     nmax = n_terms - 1
-    tx = hermite_functions(nmax, x)
-    ty = tx if y is x or (y.shape == x.shape and np.array_equal(y, x)) else hermite_functions(nmax, y)
     coeff = np.exp(-1j * alpha * np.arange(n_terms)) * _taper(n_terms)
-    return np.einsum("n,n...,n...->...", coeff, tx, ty)
+    return np.einsum("n,n...,n...->...", coeff,
+                     hermite_functions(nmax, x), hermite_functions(nmax, y))
 
 
 class ChirpletIdentityResiduals(NamedTuple):

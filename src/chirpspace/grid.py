@@ -7,8 +7,9 @@ Conventions used throughout the package:
 * a ``PhaseGrid`` is the tensor product of a momentum-like axis (first
   argument, outer/row index) and a position-like axis (second argument,
   inner/column index), stored row-major;
-* the weighted squared norm of a field h is the trapezoid approximation of
-  ``(1/pi) * integral |h(p,q)|^2 dp dq``.
+* every integral over an axis or a grid is the trapezoid rule, read from
+  ``Axis.weights`` or ``PhaseGrid.weights`` (step included); the weighted
+  squared norm of a field h is ``(1/pi) * integral |h(p,q)|^2 dp dq``.
 """
 from __future__ import annotations
 
@@ -68,17 +69,27 @@ class Axis:
         v[-1] = self.max
         return v
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Trapezoid-rule weights times the step: ``sum(weights * f(values))``
+        approximates the integral of f over the axis."""
+        return trapezoid_weights(self.n) * self.step
+
     def cell(self, at):
         """``(i, s)`` with ``at = values[i] + s*step``, for a scalar or an array.
 
         ``i`` is clipped to [0, n-2], so ``i + 1`` is a valid index and
         ``(1 - s)*v[i] + s*v[i+1]`` reads a sampled ``v`` linearly; ``s`` leaves
-        [0, 1] beyond the axis.  A point within 1e-12 cells of a node snaps
-        onto it: ``s`` is then exactly 0, or exactly 1 at the last node.
+        [0, 1] beyond the axis.  A point within 1e-12 cells of a node, or
+        within the rounding error of ``(at - min)/step`` if that is larger,
+        snaps onto it: ``s`` is then exactly 0, or exactly 1 at the last node.
         """
-        t = (np.asarray(at, dtype=float) - self.min) / self.step
+        at = np.asarray(at, dtype=float)
+        t = (at - self.min) / self.step
         k = np.round(t)
-        t = np.where(np.abs(t - k) < 1e-12, k, t)
+        tol = np.maximum(
+            1e-12, 8 * np.finfo(float).eps * (np.abs(at) + abs(self.min)) / self.step)
+        t = np.where(np.abs(t - k) < tol, k, t)
         i = np.clip(np.floor(t), 0, self.n - 2).astype(int)
         return i, t - i
 
@@ -102,6 +113,11 @@ class PhaseGrid:
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         """(P, Q) coordinate arrays of shape (n_p, n_q)."""
         return np.meshgrid(self.p_axis.values, self.q_axis.values, indexing="ij")
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights of the grid, the outer product of the axes' weights."""
+        return np.outer(self.p_axis.weights, self.q_axis.weights)
 
 
 def _check_values(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -158,7 +174,4 @@ def sample_field(fn: Callable, grid: PhaseGrid) -> SampledField:
 
 def weighted_norm_sq(h: SampledField) -> float:
     """Trapezoid approximation of (1/pi) * iint |h(p,q)|^2 dp dq."""
-    wp = trapezoid_weights(h.grid.p_axis.n)
-    wq = trapezoid_weights(h.grid.q_axis.n)
-    acc = np.sum((np.abs(h.values) ** 2) * np.outer(wp, wq))
-    return float(acc * h.grid.p_axis.step * h.grid.q_axis.step / np.pi)
+    return float(np.sum(np.abs(h.values) ** 2 * h.grid.weights) / np.pi)

@@ -36,7 +36,6 @@ from .grid import (
     Signal,
     _check_values,
     sample_field,
-    trapezoid_weights,
 )
 from .hermite import hermite_functions
 from .xform import forward_fast, inverse_fast
@@ -200,8 +199,8 @@ def weyl_quantize(h: SampledField, q1_axis: Axis, q2_axis: Axis) -> OperatorKern
     n, q = q1_axis.n, q1_axis.values
     _check_within(ax_q, q[0], q[-1], "midpoints", "symbol q-range")
     d = q1_axis.step * np.arange(1 - n, n)
-    wh = trapezoid_weights(ax_p.n)[:, None] * h.values
-    F = (np.exp(1j * np.outer(d, ax_p.values)) @ wh) * ax_p.step / (2.0 * np.pi)
+    wh = ax_p.weights[:, None] * h.values
+    F = (np.exp(1j * np.outer(d, ax_p.values)) @ wh) / (2.0 * np.pi)
     i = np.arange(n)
     row = i[:, None] - i[None, :] + n - 1
     j0, s = ax_q.cell((q[:, None] + q[None, :]) / 2.0)
@@ -232,14 +231,14 @@ def wigner_of_density(rho: OperatorKernel, grid: PhaseGrid) -> SampledField:
 
 
 def _dense_fourier(axis: Axis, a: np.ndarray, xs) -> np.ndarray:
-    """(2 pi)^{-1/2} sum_j w_j e^{-i x q_j} a_j step over axis 0 of ``a``.
+    """(2 pi)^{-1/2} sum_j w_j e^{-i x q_j} a_j over axis 0 of ``a``, with
+    w the axis's trapezoid weights.
 
     Dense on purpose: it is the side of the symbol identity that shares no
     code with the chirp-z transform.
     """
-    w = trapezoid_weights(axis.n)
-    E = np.exp(-1j * np.outer(np.asarray(xs, float), axis.values)) * w
-    return (E @ a) * axis.step / np.sqrt(2.0 * np.pi)
+    E = np.exp(-1j * np.outer(np.asarray(xs, float), axis.values)) * axis.weights
+    return (E @ a) / np.sqrt(2.0 * np.pi)
 
 
 def _mixed_grid(H: OperatorKernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -387,10 +386,8 @@ def wigner_to_kirkwood_residual(
 def _project_density(rho: OperatorKernel, basis: HermiteBasis, tol: float) -> np.ndarray:
     if rho.q1_axis != basis.axis or rho.q2_axis != basis.axis:
         raise ValueError("density operator must be sampled on the basis axis")
-    w = trapezoid_weights(basis.axis.n)
-    step = basis.axis.step
-    wk = rho.values * np.outer(w, w)
-    R = (basis.table @ wk @ basis.table.T) * step * step
+    w = basis.axis.weights
+    R = basis.table @ (rho.values * np.outer(w, w)) @ basis.table.T
     recon = basis.table.T @ R @ basis.table
     denom = np.linalg.norm(rho.values)
     resid = np.linalg.norm(rho.values - recon) / denom if denom > 0 else 0.0

@@ -293,7 +293,7 @@ def suite_chirplet_kernel(cfg: RunConfig) -> list[CaseResult]:
 
 def suite_hermite_oracle(cfg: RunConfig) -> list[CaseResult]:
     xs = make_axis(-cfg.oracle_extent, cfg.oracle_extent, cfg.oracle_n).values
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    X, Y = xs[:, None], xs[None, :]
     cases = []
     for alpha in cfg.oracle_alphas:
         def run(alpha=alpha):
@@ -311,8 +311,7 @@ def suite_hermite_oracle(cfg: RunConfig) -> list[CaseResult]:
         xe = make_axis(-2.0, 2.0, 9).values
         Ka = closedform.frft_kernel_hermite(np.pi / 4, xe[:, None], tv[None, :], n)
         Kb = closedform.frft_kernel_hermite(np.pi / 4, tv[:, None], xe[None, :], n)
-        w = np.ones(ts.n); w[0] = w[-1] = 0.5
-        comp = (Ka * w) @ Kb * ts.step
+        comp = (Ka * ts.weights) @ Kb
         ref = closedform.frft_kernel(np.pi / 2, xe[:, None], xe[None, :])
         return np.abs(comp - ref).max()
 
@@ -323,33 +322,24 @@ def suite_hermite_oracle(cfg: RunConfig) -> list[CaseResult]:
     return cases
 
 
-def _weyl_test_symbol():
-    hp = make_axis(-8.0, 8.0, 161)
-    hq = make_axis(-9.0, 9.0, 289)
-    grid = PhaseGrid(hp, hq)
-    h = sample_field(
-        lambda P, Q: (1 + 0.3 * P + 0.2j * Q + 0.1 * P * Q) * np.exp(-(P**2 + Q**2) / 2),
-        grid)
-    return h
+def _weyl_test_symbol(P, Q):
+    return (1 + 0.3 * P + 0.2j * Q + 0.1 * P * Q) * np.exp(-(P**2 + Q**2) / 2)
 
 
 def suite_weyl(cfg: RunConfig) -> list[CaseResult]:
+    sym_grid = PhaseGrid(make_axis(-8.0, 8.0, 161), make_axis(-9.0, 9.0, 289))
     op_axis = make_axis(-9.0, 9.0, 145)      # step 1/8, midpoints land on 1/16
     out = PhaseGrid(make_axis(-6.0, 6.0, 97), make_axis(-6.0, 6.0, 97))
 
     def run_roundtrip():
-        h = _weyl_test_symbol()
-        K = quantum.weyl_quantize(h, op_axis, op_axis)
+        K = quantum.weyl_quantize(sample_field(_weyl_test_symbol, sym_grid), op_axis, op_axis)
         back = quantum.weyl_symbol(K, out)
-        ref = sample_field(
-            lambda P, Q: (1 + 0.3 * P + 0.2j * Q + 0.1 * P * Q) * np.exp(-(P**2 + Q**2) / 2),
-            out)
+        ref = sample_field(_weyl_test_symbol, out)
         return np.linalg.norm(back.values - ref.values) / np.linalg.norm(ref.values)
 
     def run_spectral():
         f = -np.log(3.0)
-        grid = PhaseGrid(make_axis(-8.0, 8.0, 161), make_axis(-9.0, 9.0, 289))
-        h = quantum.oscillator_exponential_symbol(f, grid)
+        h = quantum.oscillator_exponential_symbol(f, sym_grid)
         K = quantum.weyl_quantize(h, op_axis, op_axis)
         basis = quantum.make_hermite_basis(45, op_axis)
         ref = quantum.oscillator_exponential_kernel(f, basis)
@@ -365,14 +355,13 @@ def suite_weyl(cfg: RunConfig) -> list[CaseResult]:
 
 def suite_symbol_identity(cfg: RunConfig) -> list[CaseResult]:
     op_axis = make_axis(-8.0, 8.0, 257)      # step 1/16
-    basis = quantum.make_hermite_basis(1, op_axis)
+    basis = quantum.make_hermite_basis(60, op_axis)
     sym_grid = PhaseGrid(make_axis(-6.0, 6.0, 129), make_axis(-6.0, 6.0, 97))
     out = PhaseGrid(make_axis(-7.0, 7.0, 225), make_axis(-7.0, 7.0, 225))
     kernels = {f"n{n}": quantum.OperatorKernel(
         op_axis, op_axis, np.outer(basis.table[n], basis.table[n]).astype(complex))
         for n in (0, 1)}
-    kernels["osc"] = quantum.oscillator_exponential_kernel(
-        -np.log(3.0), quantum.make_hermite_basis(60, op_axis))
+    kernels["osc"] = quantum.oscillator_exponential_kernel(-np.log(3.0), basis)
     cases = []
     for tag, K in kernels.items():
         cases += _cases(cfg, [

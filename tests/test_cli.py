@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from chirpspace import quantum, read_field_csv, suites, write_field_csv
-from chirpspace.cli import main
+from chirpspace import closedform, hermite_functions, quantum, read_field_csv, suites
+from chirpspace import write_field_csv
+from chirpspace.cli import _parse_grid_spec, main
 
 from conftest import gaussian_poly_field, package_env, square_grid
 
@@ -80,6 +81,17 @@ class TestVerifyCommand:
         for a, b in zip(cases[::2], cases[1::2]):
             assert a["runtime_ms"] == b["runtime_ms"] > 0
             assert a["error"] is None and b["error"] is None
+
+    def test_hermite_oracle_tabulates_axes_not_meshes(self, tmp_path, monkeypatch):
+        shapes = []
+
+        def recording(n_max, x):
+            shapes.append(np.shape(x))
+            return hermite_functions(n_max, x)
+
+        monkeypatch.setattr(closedform, "hermite_functions", recording)
+        assert run_cli("verify", "hermite-oracle", "--out", str(tmp_path)) == 0
+        assert shapes and all(sum(d > 1 for d in shape) <= 1 for shape in shapes)
 
     def test_raising_case_is_a_failed_case_with_its_error(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
@@ -204,6 +216,25 @@ class TestKernelCommand:
         text = capsys.readouterr().out
         line = [l for l in text.splitlines() if "series - closed" in l][0]
         assert float(line.split("=")[1].split("(")[0]) < 1e-8
+
+    def test_hermite_method_tabulates_axes_not_meshes(self, tmp_path, monkeypatch):
+        terms, n_p, n_q = 200, 31, 23
+        grid = f"-3,3,{n_p};-2,2,{n_q}"
+        X, Y = _parse_grid_spec(grid).meshes()
+        mesh_values = closedform.frft_kernel_hermite(1.0, X, Y, terms)
+        tabulated = []
+
+        def counting(n_max, x):
+            table = hermite_functions(n_max, x)
+            tabulated.append(table.size)
+            return table
+
+        monkeypatch.setattr(closedform, "hermite_functions", counting)
+        out = tmp_path / "k.csv"
+        assert run_cli("kernel", "--alpha", "1.0", "--method", "hermite",
+                       "--terms", str(terms), f"--grid={grid}", "--out", str(out)) == 0
+        assert 0 < sum(tabulated) <= terms * (n_p + n_q)
+        assert np.array_equal(read_field_csv(out).values, mesh_values)
 
     def test_singular_angle_rejected(self, tmp_path, capsys):
         assert run_cli("kernel", "--alpha", "3.1", "--grid=-1,1,4;-1,1,4",

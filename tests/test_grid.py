@@ -76,6 +76,19 @@ class TestAxis:
         assert list(s[:2]) == [0.0, 0.0] and s[2] == pytest.approx(5e-12)
         assert s[3] == 0.25
 
+    @pytest.mark.parametrize("lo, hi, n", [
+        (1000.0, 1001.0, 401), (-1e4, -9998.0, 201), (1e6, 1e6 + 3.0, 301)])
+    def test_cell_of_a_node_far_from_the_origin(self, lo, hi, n):
+        # the rounding error of (at - min)/step grows with |min|/step and here
+        # exceeds 1e-12 cells, so the snap tolerance must grow with it
+        ax = make_axis(lo, hi, n)
+        i, s = ax.cell(ax.values)
+        assert np.array_equal(i[:-1], np.arange(n - 1)) and np.all(s[:-1] == 0.0)
+        assert (i[-1], s[-1]) == (n - 2, 1.0)
+        i, s = ax.cell(ax.values[:-1] + 0.25 * ax.step)
+        assert np.array_equal(i, np.arange(n - 1))
+        assert np.allclose(s, 0.25, rtol=0, atol=1e-6)
+
     @pytest.mark.parametrize(
         "args",
         [(-6, 6, 1), (6, -6, 10), (0, 0, 10), (np.nan, 1, 4), (0, np.inf, 4)],
@@ -92,6 +105,20 @@ class TestTrapezoid:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
             trapezoid_weights(1)
+
+    def test_axis_weights_include_the_step(self):
+        assert list(make_axis(-1, 5, 4).weights) == [1.0, 2.0, 2.0, 1.0]
+
+    def test_axis_weights_integrate_a_line_exactly(self):
+        ax = make_axis(0.5, 3.0, 11)
+        assert np.sum(ax.weights * (2 * ax.values + 1)) == pytest.approx(11.25, rel=1e-14)
+
+    def test_grid_weights_are_the_outer_product(self):
+        grid = PhaseGrid(make_axis(-1, 2, 4), make_axis(0, 1, 3))
+        assert grid.weights.shape == grid.shape
+        assert np.array_equal(grid.weights,
+                              np.outer(grid.p_axis.weights, grid.q_axis.weights))
+        assert np.sum(grid.weights) == pytest.approx(3.0, rel=1e-14)
 
 
 class TestSampleField:

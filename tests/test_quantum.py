@@ -148,6 +148,19 @@ class TestWignerOfSignal:
         with pytest.raises(ValueError, match="too small"):
             wigner_of_signal(state_signal(0), grid)
 
+    def test_far_offset_axis_gives_the_same_function(self):
+        # the same samples on an axis far from the origin: every q-node must
+        # still read as a node, so the Wigner function is unchanged bit for bit
+        x = make_axis(-0.5, 0.5, 401).values
+        values = np.exp(-x**2 / 0.02) * (1 + 0.3j * x)
+        got = []
+        for lo in (-0.5, 1000.0):
+            ax = make_axis(lo, lo + 1.0, 401)
+            grid = PhaseGrid(make_axis(-60, 60, 121), ax)
+            got.append(wigner_of_signal(Signal(ax, values), grid).values)
+        assert np.abs(got[0]).max() > 0.05
+        assert np.array_equal(got[0], got[1])
+
     def test_off_grid_interpolation_converges_under_refinement(self):
         # q-values straddle signal nodes, so the half-step reads interpolate
         grid = PhaseGrid(make_axis(-2, 2, 21), make_axis(0.03, 0.43, 3))
