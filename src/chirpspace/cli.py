@@ -5,7 +5,8 @@
     chirpspace kernel --alpha A --grid "min,max,n;min,max,n" --method M --out FILE
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage, config, or input parse errors.  Angles are radians.
+2 usage, config, or input parse errors, or an output that cannot be written.
+Angles are radians.
 """
 from __future__ import annotations
 
@@ -83,6 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_error(exc: OSError) -> int:
+    print(f"output error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_verify(args) -> int:
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
@@ -97,11 +103,17 @@ def _cmd_verify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = run_suite(args.suite, cfg)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / f"report-{args.suite}.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _output_error(exc)
+    report = run_suite(args.suite, cfg)
+    try:
+        report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        return _output_error(exc)
 
     for c in report.cases:
         status = "PASS" if c.passed else "FAIL"
@@ -135,7 +147,10 @@ def _cmd_transform(args) -> int:
         written = results["fast"]
     else:
         written = results[args.path]
-    fields_io.write_field_csv(written, args.out)
+    try:
+        fields_io.write_field_csv(written, args.out)
+    except OSError as exc:
+        return _output_error(exc)
     print(f"wrote {written.grid.shape[0]}x{written.grid.shape[1]} field -> {args.out}")
     return EXIT_OK
 
@@ -154,7 +169,10 @@ def _cmd_kernel(args) -> int:
     if args.method == "hermite":
         print(f"max |series - closed| = {np.abs(vals - closed).max():.3e} "
               f"({args.terms} terms)")
-    fields_io.write_field_csv(SampledField(grid, vals), args.out)
+    try:
+        fields_io.write_field_csv(SampledField(grid, vals), args.out)
+    except OSError as exc:
+        return _output_error(exc)
     print(f"wrote kernel samples (alpha={args.alpha:g}, method={args.method}) -> {args.out}")
     return EXIT_OK
 

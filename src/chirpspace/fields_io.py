@@ -5,8 +5,10 @@ Field files: header ``p,q,re,im``, one row per grid point in storage order
 write/read round trip is bit-exact.  Operator kernels use ``q1,q2,re,im``
 with the same layout.  Axes are reconstructed from the coordinate columns
 and validated for uniformity.
-Rows go through one ``np.savetxt`` and one ``np.loadtxt``; cells are plain
-numbers.
+Rows are read with one ``np.loadtxt``; cells are plain numbers.  The writer
+formats each coordinate once: the inner coordinates go into a row template
+with two ``%.17g`` value slots per point, and each outer row is filled by one
+``%`` over its interleaved (re, im) values.
 """
 from __future__ import annotations
 
@@ -26,12 +28,17 @@ class CsvFormatError(ValueError):
 
 
 def _write(path, header: str, ax1: Axis, ax2: Axis, values: np.ndarray) -> None:
-    rows = np.column_stack((np.repeat(ax1.values, ax2.n), np.tile(ax2.values, ax1.n),
-                            values.real.ravel(), values.imag.ravel()))
+    # joined by an outer coordinate, these are the template of one outer row:
+    # "p,q,%.17g,%.17g\r\n" per inner coordinate q
+    pieces = [""] + [",%.17g,%%.17g,%%.17g\r\n" % q for q in ax2.values.tolist()]
+    # re, im, re, im, ... along each outer row: a view of the (C-contiguous,
+    # complex) values that SampledField and OperatorKernel hold
+    cells = values.view(float)
     # newline="" keeps the \r\n line ends untranslated on every platform
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=header, comments="")
+        fh.write(header + "\r\n")
+        for outer, row in zip(ax1.values.tolist(), cells):
+            fh.write(("%.17g" % outer).join(pieces) % tuple(row.tolist()))
 
 
 def write_field_csv(field: SampledField, path) -> None:
@@ -60,7 +67,9 @@ def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
         if data.size == 0 or data.shape[1] != 4 or not np.isfinite(data[:, :2]).all():
             _reject(fh, path)
     ax1, ax2 = _axes_from_columns(data[:, 0], data[:, 1], path)
-    return ax1, ax2, (data[:, 2] + 1j * data[:, 3]).reshape(ax1.n, ax2.n)
+    # (re, im) pairs viewed as complex: re + 1j*im would turn a -0.0 into +0.0
+    values = np.ascontiguousarray(data[:, 2:]).view(complex)
+    return ax1, ax2, values.reshape(ax1.n, ax2.n)
 
 
 def _reject(fh, path) -> None:

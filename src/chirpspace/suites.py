@@ -90,6 +90,11 @@ class RunConfig:
                 "epsilons", "damp", "gaussian_lambdas")
             if positive and not all(v > 0 for v in nums):
                 raise ValueError(f"config field {f.name} must be > 0, got {val}")
+        # chirplet-monotone compares successive rungs: one rung gives no ratio
+        # and a repeated rung a ratio of exactly 1, and either passes vacuously
+        if len(self.epsilons) < 2 or len(set(self.epsilons)) < len(self.epsilons):
+            raise ValueError("config field epsilons needs at least two values, all distinct, "
+                             f"got {self.epsilons}")
         if self.n_fields < 1:
             raise ValueError("config field n_fields must be >= 1")
         if self.seed < 0:

@@ -132,3 +132,22 @@ def naive_shifted_form(h: SampledField, out: PhaseGrid) -> np.ndarray:
             hv = read(np.stack((P + x, y + Q / 2), axis=-1))
             res[a, b] = np.sum(w * hv * np.exp(1j * P * Q))
     return res * dp * dq / (2 * np.pi)
+
+
+def naive_field_csv(header: str, outer: np.ndarray, inner: np.ndarray,
+                    values: np.ndarray) -> bytes:
+    """Per-row oracle for the CSV writers: the header, then one
+    "%.17g,%.17g,%.17g,%.17g\\r\\n" row per grid point, outer coordinate outer."""
+    rows = [header + "\r\n"]
+    for i, a in enumerate(outer):
+        for j, b in enumerate(inner):
+            row = (a, b, values[i, j].real, values[i, j].imag)
+            rows.append("%.17g,%.17g,%.17g,%.17g\r\n" % row)
+    return "".join(rows).encode()
+
+
+def observed_orders(errors: list[float]) -> np.ndarray:
+    """Observed convergence orders log2(e_k / e_{k+1}) of errors measured on
+    grids whose step halves from one to the next (Roache, AIAA J. 36(5), 1998)."""
+    e = np.asarray(errors)
+    return np.log2(e[:-1] / e[1:])

@@ -242,6 +242,22 @@ class TestKernelCommand:
         assert "3.1" in capsys.readouterr().err
 
 
+def _field_file(tmp_path):
+    path = tmp_path / "in.csv"
+    write_field_csv(gaussian_poly_field(square_grid(3, 8), np.random.default_rng(0)), path)
+    return str(path)
+
+
+def _file_in_missing_dir(tmp_path):
+    return str(tmp_path / "missing" / "out.csv")
+
+
+def _existing_file(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    return str(path)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("verify", "gaussian", "--config", [1, 2]),
@@ -261,20 +277,32 @@ class TestUsageErrors:
         ("verify", "chirplet-kernel", "--alpha", "nan"),
         ("kernel", "--alpha", "1.0", "--method", "hermite", "--terms", "0",
          "--grid=-1,1,3;-1,1,3"),
+        ("verify", "chirplet-kernel", "--epsilon", "0.1"),
+        ("verify", "chirplet-kernel", "--epsilon", "0.1", "--epsilon", "0.1"),
+        ("transform", "--in", _field_file, "--direction", "forward",
+         "--grid=-1,1,4;-1,1,4", "--out", _file_in_missing_dir),
+        ("kernel", "--alpha", "1.0", "--grid=-1,1,3;-1,1,3", "--out", _file_in_missing_dir),
+        ("verify", "gaussian", "--out", _existing_file),
     ], ids=["config-list", "config-str-int", "config-scalar-list",
             "config-list-dict", "config-nan-extent", "config-negative-extent",
             "config-zero-extent", "config-negative-seed", "config-negative-damp",
             "config-zero-damp", "config-negative-lambda", "config-nan-tolerance",
-            "config-negative-tolerance", "alpha-nan", "hermite-zero-terms"])
+            "config-negative-tolerance", "alpha-nan", "hermite-zero-terms",
+            "epsilon-single", "epsilon-duplicate", "transform-out-missing-dir",
+            "kernel-out-missing-dir", "verify-out-is-a-file"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
         args = []
         for a in argv:
-            if not isinstance(a, str):
+            if callable(a):
+                a = a(tmp_path)
+            elif not isinstance(a, str):
                 cfg = tmp_path / "cfg.json"
                 cfg.write_text(json.dumps(a))
                 a = str(cfg)
             args.append(a)
-        assert run_cli(*args, "--out", str(tmp_path / "out")) == 2
+        if "--out" not in args:
+            args += ["--out", str(tmp_path / "out")]
+        assert run_cli(*args) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chirpspace import (
     OperatorKernel,
@@ -19,7 +20,7 @@ from chirpspace import (
 )
 from chirpspace.fields_io import CsvFormatError
 
-from conftest import gaussian_poly_field, square_grid
+from conftest import gaussian_poly_field, naive_field_csv, square_grid
 
 
 class TestFieldCsv:
@@ -122,6 +123,40 @@ class TestOperatorCsv:
         write_operator_csv(bad, path)
         with pytest.raises(ValueError, match="trace"):
             read_operator_csv(path, density=True)
+
+
+@st.composite
+def offset_axes(draw):
+    """2 to 40 points, anywhere in [-1e6, 1e6], so some ranges are negative."""
+    lo = draw(st.floats(-1e6, 1e6))
+    return make_axis(lo, lo + draw(st.floats(0.5, 1e3)), draw(st.integers(2, 40)))
+
+
+# signed zeros, the smallest subnormal and values near the top of the range
+EDGE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestWriterAgainstPerRowOracle:
+    @given(data=st.data())
+    def test_bytes_match_and_read_back_bit_exactly(self, data):
+        ax1, ax2 = data.draw(offset_axes()), data.draw(offset_axes())
+        values = np.empty((ax1.n, ax2.n), complex)
+        values.real = data.draw(arrays(float, values.shape, elements=EDGE_VALUES))
+        values.imag = data.draw(arrays(float, values.shape, elements=EDGE_VALUES))
+        expected = {h: naive_field_csv(h, ax1.values, ax2.values, values)
+                    for h in ("p,q,re,im", "q1,q2,re,im")}
+        with tempfile.TemporaryDirectory() as tmp:
+            field_path, op_path = Path(tmp) / "f.csv", Path(tmp) / "op.csv"
+            write_field_csv(SampledField(PhaseGrid(ax1, ax2), values), field_path)
+            write_operator_csv(OperatorKernel(ax1, ax2, values), op_path)
+            assert field_path.read_bytes() == expected["p,q,re,im"]
+            assert op_path.read_bytes() == expected["q1,q2,re,im"]
+            field, kernel = read_field_csv(field_path), read_operator_csv(op_path)
+        assert field.grid == PhaseGrid(ax1, ax2)
+        assert (kernel.q1_axis, kernel.q2_axis) == (ax1, ax2)
+        assert field.values.tobytes() == values.tobytes()
+        assert kernel.values.tobytes() == values.tobytes()
 
 
 def write_text(path, text):

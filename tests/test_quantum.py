@@ -30,7 +30,7 @@ from chirpspace import (
     wigner_to_kirkwood_residual,
 )
 
-from conftest import naive_weyl_quantize, naive_weyl_symbol, square_grid
+from conftest import naive_weyl_quantize, naive_weyl_symbol, observed_orders, square_grid
 
 SIG_AXIS = make_axis(-8.0, 8.0, 257)      # step 1/16
 OP_AXIS = make_axis(-9.0, 9.0, 145)       # step 1/8
@@ -273,6 +273,20 @@ class TestWeylSymbol:
                              - ref).max()
         assert errs[145] < errs[73] / 2
         assert errs[145] < 2e-2
+
+    def test_off_lattice_error_is_second_order(self):
+        # q at the cell midpoints of each kernel axis, so every refinement
+        # reads at the same cell fraction (1/2) and the order is not noisy
+        errs = []
+        for n in (65, 129, 257):
+            ax = make_axis(-8.0, 8.0, n)
+            half = ax.step / 2
+            grid = PhaseGrid(make_axis(-2, 2, 5), make_axis(-1 + half, 1 + half, 3))
+            P, Q = grid.meshes()
+            errs.append(np.abs(weyl_symbol(projector_kernel(0, ax), grid).values
+                               - 2.0 * np.exp(-(P**2 + Q**2))).max())
+        orders = observed_orders(errs)
+        assert np.all((1.8 <= orders) & (orders <= 2.2)), orders
 
     def test_rejects_mismatched_axes(self):
         K = OperatorKernel(make_axis(-2, 2, 9), make_axis(-2, 2, 11),

@@ -22,6 +22,7 @@ from conftest import (
     gaussian_poly_field,
     naive_shifted_form,
     naive_transform,
+    observed_orders,
     square_grid,
 )
 
@@ -190,6 +191,18 @@ class TestShiftedForm:
         assert errs[256] < 5e-4   # bilinear-interpolation floor at this step
         assert errs[128] < 2e-3
         assert errs[256] < errs[128]
+
+    def test_agreement_with_direct_is_second_order(self):
+        out = square_grid(1, 3)
+        errs = []
+        for n in (41, 81, 161):
+            grid = square_grid(6, n)
+            h = sample_field(lambda P, Q: (1 + 0.3 * P + 0.2j * Q) * np.exp(-(P**2 + Q**2)),
+                             grid)
+            errs.append(np.abs(forward_shifted_form(h, out).values
+                               - forward_direct(h, out).values).max())
+        orders = observed_orders(errs)
+        assert np.all((1.8 <= orders) & (orders <= 2.2)), orders
 
     def test_zero_field(self):
         grid = square_grid(4, 32)
