@@ -55,10 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser(
         "verify", help="run a named verification suite",
-        description="The config (--config, --alpha, --epsilon) drives only the roundtrip, "
-                    "parseval, gaussian, chirplet-kernel, hermite-oracle and charfun "
-                    "(hermite_n_max, charfun_*) suites; the weyl, symbol-identity and "
-                    "kirkwood grids are fixed.")
+        description="The config (--config, --alpha, --epsilon, --out) chooses the seed, "
+                    "the chirplet angles, the damping ladder, tolerance overrides and "
+                    "the output directory; every suite's grids are fixed.")
     pv.add_argument("suite", choices=sorted(SUITE_NAMES))
     pv.add_argument("--config", help="JSON config file")
     pv.add_argument("--alpha", action="append", type=float, default=None,

@@ -56,8 +56,11 @@ class Axis:
             raise ValueError(f"axis bounds must be finite, got [{self.min}, {self.max}]")
         if self.n < 2:
             raise ValueError(f"axis needs n >= 2 samples, got n={self.n}")
-        if not self.max > self.min:
-            raise ValueError(f"axis needs max > min, got [{self.min}, {self.max}]")
+        # a positive step means max > min; finite bounds can still overflow
+        # max - min to inf, or a tiny span underflow the step to 0
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"axis needs max > min and a finite step > 0, got "
+                             f"[{self.min}, {self.max}] with n={self.n}")
 
     @property
     def step(self) -> float:

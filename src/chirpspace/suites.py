@@ -1,9 +1,9 @@
 """Named verification suites behind the ``verify`` command.
 
-Each suite runs a handful of residual checks at desk scale and reports one
-``CaseResult`` per check, tagged with a human-readable label of the identity
-being exercised.  All computations are seeded and deterministic; reports are
-byte-stable apart from the runtime fields.
+Each suite runs a handful of residual checks on its own fixed desk-scale
+grids and reports one ``CaseResult`` per check, tagged with a human-readable
+label of the identity being exercised.  All computations are seeded and
+deterministic; reports are byte-stable apart from the runtime fields.
 """
 from __future__ import annotations
 
@@ -29,37 +29,14 @@ __all__ = [
 
 @dataclass
 class RunConfig:
-    """Resolved parameters for a verification run (defaults are desk scale)."""
+    """Parameters of a verification run.  Every suite's grids, sizes and
+    series lengths are fixed in the suite: its tolerances are calibrated to
+    them."""
 
-    # random-field family for round-trip / norm checks
-    field_extent: float = 6.0
-    field_n: int = 128
-    mid_extent: float = 10.0
-    mid_n: int = 216
-    n_fields: int = 3
-    damp: float = 0.6
-    seed: int = 20240701
-    # Gaussian closed-form checks
-    gaussian_lambdas: tuple[float, ...] = (0.5, 1.0, 2.0)
-    gaussian_extent: float = 8.0
-    gaussian_n: int = 161
-    eval_extent: float = 2.0
-    eval_n: int = 9
-    # chirplet-to-kernel identity
+    seed: int = 20240701  # random fields of the roundtrip and parseval suites
+    # chirplet-to-kernel identity: angles and the damping ladder
     alphas: tuple[float, ...] = (np.pi / 3, np.pi / 2, 2 * np.pi / 3)
     epsilons: tuple[float, ...] = (0.1, 0.05, 0.02, 0.01)
-    chirplet_extent: float = 25.0
-    chirplet_n: int = 801
-    # spectral oracle
-    oracle_alphas: tuple[float, ...] = (0.3, 1.0, np.pi / 2, 2.0, 2.8)
-    hermite_n_terms: int = 1600
-    oracle_extent: float = 3.0
-    oracle_n: int = 13
-    composition_n_terms: int = 300
-    # characteristic functions
-    hermite_n_max: int = 48
-    charfun_extent: float = 3.0
-    charfun_n: int = 13
     # report
     tolerance_overrides: dict[str, float] = field(default_factory=dict)
     out_dir: str = "."
@@ -79,37 +56,33 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            val = getattr(self, f.name)
-            nums = val if isinstance(val, tuple) else (val,)
-            if any(isinstance(v, float) and not np.isfinite(v) for v in nums):
-                raise ValueError(f"config field {f.name} must be finite, got {val}")
-            if f.name.endswith("_n") and val < 2:  # axis sample counts
-                raise ValueError(f"config field {f.name} must be >= 2")
-            positive = f.name.endswith("_extent") or f.name in (
-                "epsilons", "damp", "gaussian_lambdas")
-            if positive and not all(v > 0 for v in nums):
-                raise ValueError(f"config field {f.name} must be > 0, got {val}")
+        for name in ("alphas", "epsilons"):
+            vals = getattr(self, name)
+            if not all(np.isfinite(vals)):
+                raise ValueError(f"config field {name} must be finite, got {vals}")
+        if not all(e > 0 for e in self.epsilons):
+            raise ValueError(f"config field epsilons must be > 0, got {self.epsilons}")
         # chirplet-monotone compares successive rungs: one rung gives no ratio
         # and a repeated rung a ratio of exactly 1, and either passes vacuously
         if len(self.epsilons) < 2 or len(set(self.epsilons)) < len(self.epsilons):
             raise ValueError("config field epsilons needs at least two values, all distinct, "
                              f"got {self.epsilons}")
-        if self.n_fields < 1:
-            raise ValueError("config field n_fields must be >= 1")
+        # each alpha names two chirplet cases to 4 decimals: no alpha passes
+        # vacuously, and two alphas with one name share a tolerance override
+        if len({f"{a:.4f}" for a in self.alphas}) < max(len(self.alphas), 1):
+            raise ValueError("config field alphas needs at least one value, all distinct "
+                             f"to 4 decimals, got {self.alphas}")
         if self.seed < 0:
             raise ValueError(f"config field seed must be >= 0, got {self.seed}")
         if not all(t >= 0 for t in self.tolerance_overrides.values()):
             raise ValueError("config field tolerance_overrides values must be >= 0, "
                              f"got {self.tolerance_overrides}")
-        for a in tuple(self.alphas) + tuple(self.oracle_alphas):
+        for a in self.alphas:
             if abs(np.sin(a)) < closedform.SIN_ALPHA_GUARD:
                 raise ValueError(
                     f"config alpha {a} violates the singularity guard "
                     f"|sin alpha| >= {closedform.SIN_ALPHA_GUARD}"
                 )
-        if self.hermite_n_terms < 1 or self.hermite_n_max < 1:
-            raise ValueError("hermite term counts must be >= 1")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -202,29 +175,31 @@ def _square_grid(extent: float, n: int) -> PhaseGrid:
     return PhaseGrid(ax, ax)
 
 
-def _gaussian_poly_field(grid: PhaseGrid, rng, damp: float = 0.6) -> SampledField:
+def _gaussian_poly_field(grid: PhaseGrid, rng) -> SampledField:
     """Random polynomial (total degree <= 3, complex normal coefficients) times
-    exp(-damp (p^2 + q^2))."""
+    exp(-0.6 (p^2 + q^2))."""
     P, Q = grid.meshes()
     vals = np.zeros_like(P, dtype=complex)
     for i in range(4):
         for j in range(4 - i):
             vals += (rng.standard_normal() + 1j * rng.standard_normal()) * P**i * Q**j
-    return SampledField(grid, vals * np.exp(-damp * (P**2 + Q**2)))
+    return SampledField(grid, vals * np.exp(-0.6 * (P**2 + Q**2)))
 
 
-def _random_fields(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    grid = _square_grid(cfg.field_extent, cfg.field_n)
-    fields = [_gaussian_poly_field(grid, rng, cfg.damp) for _ in range(cfg.n_fields)]
-    return grid, _square_grid(cfg.mid_extent, cfg.mid_n), fields
+def _random_fields(seed: int):
+    """Three seeded random fields on [-6, 6]^2 at 128^2, and the [-10, 10]^2
+    grid at 216^2 that the forward transform maps them onto."""
+    rng = np.random.default_rng(seed)
+    grid = _square_grid(6.0, 128)
+    fields = [_gaussian_poly_field(grid, rng) for _ in range(3)]
+    return grid, _square_grid(10.0, 216), fields
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 def suite_roundtrip(cfg: RunConfig) -> list[CaseResult]:
-    grid, mid, fields = _random_fields(cfg)
+    grid, mid, fields = _random_fields(cfg.seed)
     label = "inverse(forward(h)) recovers h (transform invertibility)"
 
     def run(path):
@@ -239,7 +214,7 @@ def suite_roundtrip(cfg: RunConfig) -> list[CaseResult]:
 
 
 def suite_parseval(cfg: RunConfig) -> list[CaseResult]:
-    grid, mid, fields = _random_fields(cfg)
+    grid, mid, fields = _random_fields(cfg.seed)
     label = "squared-norm preservation under the transform (Parseval)"
 
     def run():
@@ -257,12 +232,12 @@ def suite_parseval(cfg: RunConfig) -> list[CaseResult]:
 
 
 def suite_gaussian(cfg: RunConfig) -> list[CaseResult]:
-    grid = _square_grid(cfg.gaussian_extent, cfg.gaussian_n)
-    out = _square_grid(cfg.eval_extent, cfg.eval_n)
+    grid = _square_grid(8.0, 161)
+    out = _square_grid(2.0, 9)
     X, Y = out.meshes()
     label = "Gaussian maps to the closed-form Gaussian-chirp image"
     cases = []
-    for lam in cfg.gaussian_lambdas:
+    for lam in (0.5, 1.0, 2.0):
         def run(lam=lam):
             h = sample_field(lambda P, Q: np.exp(-lam * (P**2 + Q**2)), grid)
             num = xform.forward_direct(h, out).values
@@ -273,8 +248,8 @@ def suite_gaussian(cfg: RunConfig) -> list[CaseResult]:
 
 
 def suite_chirplet_kernel(cfg: RunConfig) -> list[CaseResult]:
-    out = _square_grid(cfg.eval_extent, cfg.eval_n)
-    cgrid = _square_grid(cfg.chirplet_extent, cfg.chirplet_n)
+    out = _square_grid(2.0, 9)
+    cgrid = _square_grid(25.0, 801)
     cases = []
     for alpha in cfg.alphas:
         def run_closed(alpha=alpha):
@@ -297,12 +272,12 @@ def suite_chirplet_kernel(cfg: RunConfig) -> list[CaseResult]:
 
 
 def suite_hermite_oracle(cfg: RunConfig) -> list[CaseResult]:
-    xs = make_axis(-cfg.oracle_extent, cfg.oracle_extent, cfg.oracle_n).values
+    xs = make_axis(-3.0, 3.0, 13).values
     X, Y = xs[:, None], xs[None, :]
     cases = []
-    for alpha in cfg.oracle_alphas:
+    for alpha in (0.3, 1.0, np.pi / 2, 2.0, 2.8):
         def run(alpha=alpha):
-            S = closedform.frft_kernel_hermite(alpha, X, Y, cfg.hermite_n_terms)
+            S = closedform.frft_kernel_hermite(alpha, X, Y, 1600)
             return np.abs(S - closedform.frft_kernel(alpha, X, Y)).max()
         cases.append(_case(
             cfg, f"oracle-alpha-{alpha:.4f}",
@@ -312,10 +287,9 @@ def suite_hermite_oracle(cfg: RunConfig) -> list[CaseResult]:
     def run_comp():
         ts = make_axis(-20.0, 20.0, 801)
         tv = ts.values
-        n = cfg.composition_n_terms
         xe = make_axis(-2.0, 2.0, 9).values
-        Ka = closedform.frft_kernel_hermite(np.pi / 4, xe[:, None], tv[None, :], n)
-        Kb = closedform.frft_kernel_hermite(np.pi / 4, tv[:, None], xe[None, :], n)
+        Ka = closedform.frft_kernel_hermite(np.pi / 4, xe[:, None], tv[None, :], 300)
+        Kb = closedform.frft_kernel_hermite(np.pi / 4, tv[:, None], xe[None, :], 300)
         comp = (Ka * ts.weights) @ Kb
         ref = closedform.frft_kernel(np.pi / 2, xe[:, None], xe[None, :])
         return np.abs(comp - ref).max()
@@ -397,10 +371,10 @@ def suite_kirkwood(cfg: RunConfig) -> list[CaseResult]:
 
 def suite_charfun(cfg: RunConfig) -> list[CaseResult]:
     bax = make_axis(-12.0, 12.0, 241)
-    basis = quantum.make_hermite_basis(cfg.hermite_n_max, bax)
+    basis = quantum.make_hermite_basis(48, bax)
     rho = quantum.OperatorKernel(
         bax, bax, np.outer(basis.table[0], basis.table[0]).astype(complex))
-    uv = make_axis(-cfg.charfun_extent, cfg.charfun_extent, cfg.charfun_n).values
+    uv = make_axis(-3.0, 3.0, 13).values
 
     def run_closed():
         return _worst(abs(quantum.char_function_qp(rho, basis, u, v)

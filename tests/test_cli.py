@@ -26,6 +26,8 @@ class TestVerifyCommand:
         assert all(c["identity"] for c in report["cases"])
         assert all((c["residual"] <= c["tolerance"]) == c["pass"]
                    for c in report["cases"])
+        assert sorted(report["config_echo"]) == [
+            "alphas", "epsilons", "out_dir", "seed", "tolerance_overrides"]
 
     def test_unknown_suite_is_usage_error(self, tmp_path):
         assert run_cli("verify", "nonsense", "--out", str(tmp_path)) == 2
@@ -45,6 +47,25 @@ class TestVerifyCommand:
         cfg.write_text("{not json")
         assert run_cli("verify", "gaussian", "--config", str(cfg),
                        "--out", str(tmp_path)) == 2
+
+    # each suite's grids are fixed; these fields (with their former defaults)
+    # are no longer config fields
+    @pytest.mark.parametrize("key, val", [
+        ("field_extent", 6.0), ("field_n", 128), ("mid_extent", 10.0), ("mid_n", 216),
+        ("n_fields", 3), ("damp", 0.6), ("gaussian_lambdas", [0.5, 1.0, 2.0]),
+        ("gaussian_extent", 8.0), ("gaussian_n", 161), ("eval_extent", 2.0),
+        ("eval_n", 9), ("chirplet_extent", 25.0), ("chirplet_n", 801),
+        ("oracle_alphas", [0.3, 1.0, 2.0]), ("hermite_n_terms", 1600),
+        ("oracle_extent", 3.0), ("oracle_n", 13), ("composition_n_terms", 300),
+        ("hermite_n_max", 48), ("charfun_extent", 3.0), ("charfun_n", 13),
+    ])
+    def test_removed_field_is_unknown(self, tmp_path, capsys, key, val):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: val}))
+        assert run_cli("verify", "gaussian", "--config", str(cfg),
+                       "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"unknown config field {key!r}" in err[0]
 
     def test_guarded_alpha_rejected_in_config(self, tmp_path):
         assert run_cli("verify", "chirplet-kernel", "--alpha", "3.1",
@@ -261,34 +282,43 @@ def _existing_file(tmp_path):
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("verify", "gaussian", "--config", [1, 2]),
-        ("verify", "gaussian", "--config", {"field_n": "abc"}),
+        ("verify", "gaussian", "--config", {"seed": "abc"}),
         ("verify", "gaussian", "--config", {"alphas": 1.0}),
         ("verify", "gaussian", "--config", {"tolerance_overrides": [1]}),
-        ("verify", "roundtrip", "--config", {"field_extent": float("nan")}),
-        ("verify", "charfun", "--config", {"charfun_extent": -3.0}),
-        ("verify", "roundtrip", "--config", {"field_extent": 0.0}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [float("nan"), 0.1]}),
+        ("verify", "chirplet-kernel", "--config", {"alphas": [float("inf")]}),
+        ("verify", "gaussian", "--config", {"out_dir": 5}),
         ("verify", "roundtrip", "--config", {"seed": -1}),
-        ("verify", "roundtrip", "--config", {"damp": -5.0}),
-        ("verify", "roundtrip", "--config", {"damp": 0.0}),
-        ("verify", "gaussian", "--config", {"gaussian_lambdas": [1.0, -2.0]}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [-0.1, 0.1]}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [0.0, 0.1]}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": ["0.1", 0.05]}),
         ("verify", "gaussian", "--config",
          {"tolerance_overrides": {"gaussian-lam-1": float("nan")}}),
         ("verify", "gaussian", "--config", {"tolerance_overrides": {"gaussian-lam-1": -1e-6}}),
         ("verify", "chirplet-kernel", "--alpha", "nan"),
+        ("verify", "chirplet-kernel", "--config", {"alphas": []}),
+        ("verify", "chirplet-kernel", "--alpha", "1.0", "--alpha", "1.0"),
+        ("verify", "chirplet-kernel", "--alpha", "1.0", "--alpha", "1.00001"),
         ("kernel", "--alpha", "1.0", "--method", "hermite", "--terms", "0",
          "--grid=-1,1,3;-1,1,3"),
         ("verify", "chirplet-kernel", "--epsilon", "0.1"),
         ("verify", "chirplet-kernel", "--epsilon", "0.1", "--epsilon", "0.1"),
         ("transform", "--in", _field_file, "--direction", "forward",
+         "--grid=-1e308,1e308,5;-1,1,5", "--out", lambda tmp: str(tmp / "f.csv")),
+        ("kernel", "--alpha", "1.0", "--grid=-1e308,1e308,5;-1,1,5",
+         "--out", lambda tmp: str(tmp / "k.csv")),
+        ("transform", "--in", _field_file, "--direction", "forward",
          "--grid=-1,1,4;-1,1,4", "--out", _file_in_missing_dir),
         ("kernel", "--alpha", "1.0", "--grid=-1,1,3;-1,1,3", "--out", _file_in_missing_dir),
         ("verify", "gaussian", "--out", _existing_file),
     ], ids=["config-list", "config-str-int", "config-scalar-list",
-            "config-list-dict", "config-nan-extent", "config-negative-extent",
-            "config-zero-extent", "config-negative-seed", "config-negative-damp",
-            "config-zero-damp", "config-negative-lambda", "config-nan-tolerance",
-            "config-negative-tolerance", "alpha-nan", "hermite-zero-terms",
-            "epsilon-single", "epsilon-duplicate", "transform-out-missing-dir",
+            "config-list-dict", "config-nan-epsilon", "config-inf-alpha",
+            "config-int-out-dir", "config-negative-seed", "config-negative-damp",
+            "config-zero-damp", "config-str-epsilon", "config-nan-tolerance",
+            "config-negative-tolerance", "alpha-nan", "config-alphas-empty",
+            "alpha-duplicate", "alpha-same-4-decimals", "hermite-zero-terms",
+            "epsilon-single", "epsilon-duplicate", "transform-grid-overflow",
+            "kernel-grid-overflow", "transform-out-missing-dir",
             "kernel-out-missing-dir", "verify-out-is-a-file"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
         args = []

@@ -91,7 +91,8 @@ class TestAxis:
 
     @pytest.mark.parametrize(
         "args",
-        [(-6, 6, 1), (6, -6, 10), (0, 0, 10), (np.nan, 1, 4), (0, np.inf, 4)],
+        [(-6, 6, 1), (6, -6, 10), (0, 0, 10), (np.nan, 1, 4), (0, np.inf, 4),
+         (-1e308, 1e308, 5), (0.0, 5e-324, 3)],
     )
     def test_rejects_bad_axes(self, args):
         with pytest.raises(ValueError):
