@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_error(exc: OSError) -> int:
+def _output_error(exc: OSError | ValueError) -> int:
     print(f"output error: {exc}", file=sys.stderr)
     return EXIT_USAGE
 
@@ -106,7 +106,7 @@ def _cmd_verify(args) -> int:
     report_path = out_dir / f"report-{args.suite}.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
         return _output_error(exc)
     report = run_suite(args.suite, cfg)
     try:

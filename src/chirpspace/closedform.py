@@ -14,8 +14,9 @@ fractional Fourier transform of angle alpha:
 so the transform maps a unit-magnitude chirplet exp(i tan(pi/4 - alpha/2)
 (p^2+q^2)) onto sqrt(2 pi) K_alpha(x, y) e^{ixy}.  Square roots take the
 principal branch; the spectral oracle below pins that choice rather than
-assuming it (both radicands stay in the closed right half-plane on the
-accepted alpha range).
+assuming it.  The chirplet identity holds on that branch for sin alpha > 0;
+where sin alpha < 0 the chirp rate |tan(pi/4 - alpha/2)| exceeds 1, and on
+(-pi/2, 0) mod 2 pi the closed form takes the other branch (minus the kernel).
 
 ``frft_kernel_hermite`` is the branch-unambiguous oracle: the eigenfunction
 series sum_n e^{-i alpha n} psi_n(x) psi_n(y), summed with a smooth erfc

@@ -3,8 +3,8 @@
 Field files: header ``p,q,re,im``, one row per grid point in storage order
 (p outer, q inner), floats written with 17 significant digits so that a
 write/read round trip is bit-exact.  Operator kernels use ``q1,q2,re,im``
-with the same layout.  Axes are reconstructed from the coordinate columns
-and validated for uniformity.
+with the same layout; their q1 and q2 columns must give one axis.  Axes are
+reconstructed from the coordinate columns and validated for uniformity.
 Rows are read with one ``np.loadtxt``; cells are plain numbers.  The writer
 formats each coordinate once: the inner coordinates go into a row template
 with two ``%.17g`` value slots per point, and each outer row is filled by one
@@ -46,7 +46,7 @@ def write_field_csv(field: SampledField, path) -> None:
 
 
 def write_operator_csv(kernel: OperatorKernel, path) -> None:
-    _write(path, "q1,q2,re,im", kernel.q1_axis, kernel.q2_axis, kernel.values)
+    _write(path, "q1,q2,re,im", kernel.axis, kernel.axis, kernel.values)
 
 
 def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
@@ -128,7 +128,10 @@ def read_field_csv(path) -> SampledField:
 def read_operator_csv(path, density: bool = False, tol: float = 1e-8) -> OperatorKernel:
     """Load an operator kernel; with density=True also validate the
     Hermiticity/unit-trace invariants."""
-    kernel = OperatorKernel(*_read(path, "q1,q2,re,im"))
+    ax1, ax2, values = _read(path, "q1,q2,re,im")
+    if ax1 != ax2:
+        raise CsvFormatError(f"{path}: q1 and q2 give different axes, {ax1} and {ax2}")
+    kernel = OperatorKernel(ax1, values)
     if density:
         validate_density(kernel, tol)
     return kernel

@@ -1,15 +1,14 @@
 """Phase-space representations of operators and states.
 
-An operator H is held as its position kernel <q1|H|q2> on an axis pair
-(continuum normalization, hbar = 1; the discrete cell weight is the axis
-step).  The module provides the mutually inverse maps between kernels and
+An operator H is held as its position kernel <q1|H|q2>, q1 and q2 on one
+axis (continuum normalization, hbar = 1; the discrete cell weight is the
+axis step).  The module provides the mutually inverse maps between kernels and
 phase-space symbols,
 
     quantize:  <q1|H|q2> = (1/2pi) int dp  h(p, (q1+q2)/2) e^{ i p (q1-q2)}
     symbol:    h(p, q)   =         int du  e^{-i p u} <q + u/2|H|q - u/2>
 
-(symbols are always stored momentum-first; quantization needs identical
-q1/q2 axes, as does symbol extraction), the Wigner transforms of signals
+(symbols are always stored momentum-first), the Wigner transforms of signals
 and density operators (symbol/2pi with the same sign convention), mixed
 momentum-bra/position-ket matrix elements, the oscillator-exponential
 correspondence, Kirkwood-Rihaczek closed forms, and ordered characteristic
@@ -67,25 +66,23 @@ BOUNDARY_TINY = 1e-12
 
 @dataclass(frozen=True)
 class OperatorKernel:
-    """Position-representation kernel <q1|H|q2> on an axis pair."""
+    """Position-representation kernel <q1|H|q2>; q1 and q2 both run over
+    ``axis``, so the kernel is square."""
 
-    q1_axis: Axis
-    q2_axis: Axis
+    axis: Axis
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = (self.q1_axis.n, self.q2_axis.n)
+        shape = (self.axis.n, self.axis.n)
         object.__setattr__(self, "values", _check_values(self.values, shape, "kernel"))
 
 
 def validate_density(rho: OperatorKernel, tol: float = 1e-8) -> None:
     """Check the density-operator invariants: Hermiticity and unit trace."""
-    if rho.q1_axis != rho.q2_axis:
-        raise ValueError("density operator needs identical q1/q2 axes")
     herm = np.abs(rho.values - rho.values.conj().T).max()
     if herm > tol:
         raise ValueError(f"density operator not Hermitian: max asymmetry {herm:.3g} > {tol:g}")
-    tr = rho.q1_axis.step * np.trace(rho.values)
+    tr = rho.axis.step * np.trace(rho.values)
     if abs(tr - 1.0) > tol:
         raise ValueError(f"density operator trace {tr:.6g} differs from 1 by more than {tol:g}")
 
@@ -170,24 +167,22 @@ def wigner_of_signal(psi: Signal, grid: PhaseGrid) -> SampledField:
     off-lattice q the bilinear anti-diagonal read factors into the product of
     the two linear reads of psi.
     """
-    rank1 = OperatorKernel(psi.axis, psi.axis, np.outer(psi.values, np.conj(psi.values)))
+    rank1 = OperatorKernel(psi.axis, np.outer(psi.values, np.conj(psi.values)))
     return wigner_of_density(rank1, grid)
 
 
-def weyl_quantize(h: SampledField, q1_axis: Axis, q2_axis: Axis) -> OperatorKernel:
+def weyl_quantize(h: SampledField, axis: Axis) -> OperatorKernel:
     """Operator kernel of a phase-space symbol:
 
         <q1|H|q2> = (1/2pi) int dp h(p, (q1+q2)/2) e^{i p (q1 - q2)}.
 
-    Needs identical q1/q2 axes, so that q1 - q2 runs over the 2n - 1 lattice
+    q1 and q2 both run over ``axis``, so q1 - q2 runs over the 2n - 1 lattice
     differences: the symbol is Fourier-transformed along p once onto those
     differences, and each (q1, q2) reads its difference row there, with the
     midpoint column read by linear interpolation in q (exact when midpoints
     land on symbol nodes).  A symbol that has not decayed at the p-boundary
     degrades accuracy and is reported as a warning, not an error.
     """
-    if q1_axis != q2_axis:
-        raise ValueError("quantization needs identical q1/q2 axes")
     ax_p, ax_q = h.grid.p_axis, h.grid.q_axis
     edge = max(np.abs(h.values[0, :]).max(), np.abs(h.values[-1, :]).max())
     if edge > BOUNDARY_TINY:
@@ -196,16 +191,16 @@ def weyl_quantize(h: SampledField, q1_axis: Axis, q2_axis: Axis) -> OperatorKern
             "p-truncation may dominate the quantization error",
             stacklevel=2,
         )
-    n, q = q1_axis.n, q1_axis.values
+    n, q = axis.n, axis.values
     _check_within(ax_q, q[0], q[-1], "midpoints", "symbol q-range")
-    d = q1_axis.step * np.arange(1 - n, n)
+    d = axis.step * np.arange(1 - n, n)
     wh = ax_p.weights[:, None] * h.values
     F = (np.exp(1j * np.outer(d, ax_p.values)) @ wh) / (2.0 * np.pi)
     i = np.arange(n)
     row = i[:, None] - i[None, :] + n - 1
     j0, s = ax_q.cell((q[:, None] + q[None, :]) / 2.0)
     vals = F[row, j0] * (1.0 - s) + F[row, j0 + 1] * s
-    return OperatorKernel(q1_axis, q2_axis, vals)
+    return OperatorKernel(axis, vals)
 
 
 def weyl_symbol(H: OperatorKernel, grid: PhaseGrid) -> SampledField:
@@ -217,10 +212,7 @@ def weyl_symbol(H: OperatorKernel, grid: PhaseGrid) -> SampledField:
     off-lattice q falls back to bilinear interpolation (error O(step^2)),
     so tight tolerances call for aligned grids.
     """
-    if H.q1_axis != H.q2_axis:
-        raise ValueError("symbol extraction needs identical q1/q2 axes")
-    vals = _antidiagonal_transform(H.values, H.q1_axis,
-                                   grid.p_axis.values, grid.q_axis.values)
+    vals = _antidiagonal_transform(H.values, H.axis, grid.p_axis.values, grid.q_axis.values)
     return SampledField(grid, vals)
 
 
@@ -242,11 +234,11 @@ def _dense_fourier(axis: Axis, a: np.ndarray, xs) -> np.ndarray:
 
 
 def _mixed_grid(H: OperatorKernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    ax2 = H.q2_axis
+    ax = H.axis
     ys = np.asarray(ys, dtype=float)
-    _check_within(ax2, ys.min(), ys.max(), "y", "kernel q2 axis")
-    iy = np.round((ys - ax2.min) / ax2.step).astype(int)
-    return _dense_fourier(H.q1_axis, H.values[:, iy], xs)
+    _check_within(ax, ys.min(), ys.max(), "y", "kernel axis")
+    iy = np.round((ys - ax.min) / ax.step).astype(int)
+    return _dense_fourier(ax, H.values[:, iy], xs)
 
 
 def mixed_matrix_element(H: OperatorKernel, x: float, y: float) -> complex:
@@ -328,7 +320,7 @@ def oscillator_exponential_kernel(f: complex, basis: HermiteBasis) -> OperatorKe
         raise ValueError(f"Re(f) must be <= 0 for a bounded spectral sum, got {f}")
     coeff = np.exp(f * np.arange(basis.n_max + 1))
     vals = (basis.table.T * coeff) @ basis.table
-    return OperatorKernel(basis.axis, basis.axis, vals)
+    return OperatorKernel(basis.axis, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +376,7 @@ def wigner_to_kirkwood_residual(
 
 
 def _project_density(rho: OperatorKernel, basis: HermiteBasis, tol: float) -> np.ndarray:
-    if rho.q1_axis != basis.axis or rho.q2_axis != basis.axis:
+    if rho.axis != basis.axis:
         raise ValueError("density operator must be sampled on the basis axis")
     w = basis.axis.weights
     R = basis.table @ (rho.values * np.outer(w, w)) @ basis.table.T

@@ -47,9 +47,10 @@ class RunConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+        names = {f.name for f in dataclasses.fields(cls)}
         cfg = cls()
         for key, val in raw.items():
-            if not hasattr(cfg, key):
+            if key not in names:
                 raise ValueError(f"unknown config field {key!r}")
             setattr(cfg, key, _typed(key, getattr(cfg, key), val))
         cfg.validate()
@@ -77,12 +78,11 @@ class RunConfig:
         if not all(t >= 0 for t in self.tolerance_overrides.values()):
             raise ValueError("config field tolerance_overrides values must be >= 0, "
                              f"got {self.tolerance_overrides}")
+        # the chirplet identity's square-root branch and grid need sin alpha > 0
         for a in self.alphas:
-            if abs(np.sin(a)) < closedform.SIN_ALPHA_GUARD:
-                raise ValueError(
-                    f"config alpha {a} violates the singularity guard "
-                    f"|sin alpha| >= {closedform.SIN_ALPHA_GUARD}"
-                )
+            if not np.sin(a) >= closedform.SIN_ALPHA_GUARD:
+                raise ValueError(f"config alpha {a} violates the chirplet range "
+                                 f"sin alpha >= {closedform.SIN_ALPHA_GUARD}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -107,7 +107,10 @@ def _typed(key: str, default, val):
     if isinstance(val, bool) or not isinstance(val, allowed):
         raise ValueError(
             f"config field {key} must be {type(default).__name__}, got {val!r}")
-    return type(default)(val)
+    try:
+        return type(default)(val)
+    except OverflowError:
+        raise ValueError(f"config field {key} holds an integer beyond the float range") from None
 
 
 @dataclass
@@ -311,7 +314,7 @@ def suite_weyl(cfg: RunConfig) -> list[CaseResult]:
     out = PhaseGrid(make_axis(-6.0, 6.0, 97), make_axis(-6.0, 6.0, 97))
 
     def run_roundtrip():
-        K = quantum.weyl_quantize(sample_field(_weyl_test_symbol, sym_grid), op_axis, op_axis)
+        K = quantum.weyl_quantize(sample_field(_weyl_test_symbol, sym_grid), op_axis)
         back = quantum.weyl_symbol(K, out)
         ref = sample_field(_weyl_test_symbol, out)
         return np.linalg.norm(back.values - ref.values) / np.linalg.norm(ref.values)
@@ -319,7 +322,7 @@ def suite_weyl(cfg: RunConfig) -> list[CaseResult]:
     def run_spectral():
         f = -np.log(3.0)
         h = quantum.oscillator_exponential_symbol(f, sym_grid)
-        K = quantum.weyl_quantize(h, op_axis, op_axis)
+        K = quantum.weyl_quantize(h, op_axis)
         basis = quantum.make_hermite_basis(45, op_axis)
         ref = quantum.oscillator_exponential_kernel(f, basis)
         return np.abs(K.values - ref.values).max()
@@ -337,9 +340,8 @@ def suite_symbol_identity(cfg: RunConfig) -> list[CaseResult]:
     basis = quantum.make_hermite_basis(60, op_axis)
     sym_grid = PhaseGrid(make_axis(-6.0, 6.0, 129), make_axis(-6.0, 6.0, 97))
     out = PhaseGrid(make_axis(-7.0, 7.0, 225), make_axis(-7.0, 7.0, 225))
-    kernels = {f"n{n}": quantum.OperatorKernel(
-        op_axis, op_axis, np.outer(basis.table[n], basis.table[n]).astype(complex))
-        for n in (0, 1)}
+    kernels = {f"n{n}": quantum.OperatorKernel(op_axis, np.outer(psi, psi).astype(complex))
+               for n, psi in enumerate(basis.table[:2])}
     kernels["osc"] = quantum.oscillator_exponential_kernel(-np.log(3.0), basis)
     cases = []
     for tag, K in kernels.items():
@@ -372,8 +374,7 @@ def suite_kirkwood(cfg: RunConfig) -> list[CaseResult]:
 def suite_charfun(cfg: RunConfig) -> list[CaseResult]:
     bax = make_axis(-12.0, 12.0, 241)
     basis = quantum.make_hermite_basis(48, bax)
-    rho = quantum.OperatorKernel(
-        bax, bax, np.outer(basis.table[0], basis.table[0]).astype(complex))
+    rho = quantum.OperatorKernel(bax, np.outer(basis.table[0], basis.table[0]).astype(complex))
     uv = make_axis(-3.0, 3.0, 13).values
 
     def run_closed():

@@ -173,7 +173,7 @@ class TestAcceptance:
             return (1 + 0.3 * P + 0.2j * Q + 0.1 * P * Q) * np.exp(-(P**2 + Q**2) / 2)
 
         h = cs.sample_field(poly_gauss, sgrid)
-        K = cs.weyl_quantize(h, op_axis, op_axis)
+        K = cs.weyl_quantize(h, op_axis)
         out = cs.PhaseGrid(cs.make_axis(-6, 6, 97), cs.make_axis(-6, 6, 97))
         back = cs.weyl_symbol(K, out)
         ref = cs.sample_field(poly_gauss, out)
@@ -181,7 +181,7 @@ class TestAcceptance:
 
         f = -np.log(3.0)
         hosc = cs.oscillator_exponential_symbol(f, sgrid)
-        Kosc = cs.weyl_quantize(hosc, op_axis, op_axis)
+        Kosc = cs.weyl_quantize(hosc, op_axis)
         spectral = cs.oscillator_exponential_kernel(f, cs.make_hermite_basis(45, op_axis))
         diff = np.abs(Kosc.values - spectral.values).max()
 
@@ -198,8 +198,7 @@ class TestAcceptance:
         out = cs.PhaseGrid(cs.make_axis(-7, 7, 225), cs.make_axis(-7, 7, 225))
         worst = 0.0
         for n in (0, 1):
-            K = cs.OperatorKernel(
-                op, op, np.outer(basis.table[n], basis.table[n]).astype(complex))
+            K = cs.OperatorKernel(op, np.outer(basis.table[n], basis.table[n]).astype(complex))
             res = cs.symbol_identity_residual(K, sym_grid, out)
             worst = max(worst, res.transform_side, res.inverse_side)
         _line(9, worst < 1e-6, f"mixed-element identity residual {worst:.2e} "
@@ -234,7 +233,7 @@ class TestAcceptance:
         bax = cs.make_axis(-12, 12, 241)
         basis = cs.make_hermite_basis(48, bax)
         psi0 = cs.hermite_functions(0, bax.values)[0]
-        rho = cs.OperatorKernel(bax, bax, np.outer(psi0, psi0).astype(complex))
+        rho = cs.OperatorKernel(bax, np.outer(psi0, psi0).astype(complex))
         worst_c = 0.0
         for u in np.linspace(-3, 3, 7):
             for v in np.linspace(-3, 3, 7):

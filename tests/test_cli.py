@@ -1,9 +1,14 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chirpspace import closedform, hermite_functions, quantum, read_field_csv, suites
 from chirpspace import write_field_csv
@@ -78,6 +83,11 @@ class TestVerifyCommand:
         closed = [c for c in report["cases"] if c["name"].startswith("chirplet-closed")]
         assert len(closed) == 1
         assert closed[0]["residual"] < 1e-10
+
+    def test_positive_sine_outside_first_period_passes(self, tmp_path):
+        # sin 7.0 = 0.657: the chirplet range is sin alpha >= 0.1, not 0 < alpha < pi
+        assert run_cli("verify", "chirplet-kernel", "--alpha", "7.0",
+                       "--out", str(tmp_path)) == 0
 
     def test_reports_deterministic_modulo_runtime(self, tmp_path):
         for sub in ("a", "b"):
@@ -311,6 +321,14 @@ class TestUsageErrors:
          "--grid=-1,1,4;-1,1,4", "--out", _file_in_missing_dir),
         ("kernel", "--alpha", "1.0", "--grid=-1,1,3;-1,1,3", "--out", _file_in_missing_dir),
         ("verify", "gaussian", "--out", _existing_file),
+        ("verify", "gaussian", "--config", {"__dict__": {}}),
+        ("verify", "gaussian", "--config", {"__weakref__": None}),
+        ("verify", "gaussian", "--config", {"__doc__": "x"}),
+        ("verify", "gaussian", "--config", {"validate": 1}),
+        ("verify", "gaussian", "--config", {"alphas": [10**400]}),
+        ("verify", "gaussian", "--config", {"out_dir": "a\u0000b"}),
+        ("verify", "chirplet-kernel", "--alpha", "-1.0"),
+        ("verify", "chirplet-kernel", "--alpha", "4.0"),
     ], ids=["config-list", "config-str-int", "config-scalar-list",
             "config-list-dict", "config-nan-epsilon", "config-inf-alpha",
             "config-int-out-dir", "config-negative-seed", "config-negative-damp",
@@ -319,7 +337,10 @@ class TestUsageErrors:
             "alpha-duplicate", "alpha-same-4-decimals", "hermite-zero-terms",
             "epsilon-single", "epsilon-duplicate", "transform-grid-overflow",
             "kernel-grid-overflow", "transform-out-missing-dir",
-            "kernel-out-missing-dir", "verify-out-is-a-file"])
+            "kernel-out-missing-dir", "verify-out-is-a-file", "config-dunder-dict",
+            "config-dunder-weakref", "config-dunder-doc", "config-method-name",
+            "config-int-beyond-float", "config-out-dir-null-byte", "alpha-negative-sine",
+            "alpha-negative-sine-4"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
         args = []
         for a in argv:
@@ -330,11 +351,43 @@ class TestUsageErrors:
                 cfg.write_text(json.dumps(a))
                 a = str(cfg)
             args.append(a)
-        if "--out" not in args:
+        # a config that names out_dir is tested with it, not with --out
+        if "--out" not in args and not any(isinstance(a, dict) and "out_dir" in a
+                                           for a in argv):
             args += ["--out", str(tmp_path / "out")]
         assert run_cli(*args) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
+
+
+# JSON values of every type, integers beyond the float range included, and
+# the shapes of the fields (lists of numbers, name -> number objects)
+NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -10**400])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=8)
+FIELD_VALUES = (st.lists(NUMBERS, max_size=4)
+                | st.dictionaries(st.text(max_size=8), NUMBERS, max_size=3))
+CONFIG_KEYS = st.sampled_from(
+    [f.name for f in dataclasses.fields(suites.RunConfig)]
+    + ["__dict__", "__weakref__", "__doc__", "__class__", "validate", "from_file", "to_dict"]
+) | st.text(max_size=12)
+
+
+class TestRunConfigFromFile:
+    @settings(max_examples=300)
+    @given(raw=st.dictionaries(CONFIG_KEYS, FIELD_VALUES | JSON_VALUES, max_size=5))
+    def test_any_json_object_is_a_valid_config_or_a_value_error(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(raw))
+            try:
+                cfg = suites.RunConfig.from_file(path)
+            except ValueError:
+                return
+        cfg.validate()
 
 
 class TestSubprocessEntry:

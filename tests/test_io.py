@@ -99,14 +99,14 @@ class TestOperatorCsv:
     def kernel(self):
         ax = make_axis(-6, 6, 49)
         psi = hermite_functions(0, ax.values)[0]
-        return OperatorKernel(ax, ax, np.outer(psi, psi).astype(complex))
+        return OperatorKernel(ax, np.outer(psi, psi).astype(complex))
 
     def test_round_trip(self, tmp_path):
         K = self.kernel()
         path = tmp_path / "op.csv"
         write_operator_csv(K, path)
         back = read_operator_csv(path)
-        assert back.q1_axis == K.q1_axis
+        assert back.axis == K.axis
         assert np.array_equal(back.values, K.values)
         assert path.read_text().splitlines()[0] == "q1,q2,re,im"
 
@@ -118,11 +118,19 @@ class TestOperatorCsv:
 
     def test_density_validation_rejects_scaled(self, tmp_path):
         K = self.kernel()
-        bad = OperatorKernel(K.q1_axis, K.q2_axis, 2.0 * K.values)
+        bad = OperatorKernel(K.axis, 2.0 * K.values)
         path = tmp_path / "rho.csv"
         write_operator_csv(bad, path)
         with pytest.raises(ValueError, match="trace"):
             read_operator_csv(path, density=True)
+
+    def test_rejects_two_axes(self, tmp_path):
+        # a 3x4 q1,q2 lattice: an operator kernel lives on one axis
+        rows = "".join(f"{q1},{q2},1,0\n" for q1 in (0, 1, 2) for q2 in (0, 1, 2, 3))
+        path = tmp_path / "op.csv"
+        path.write_text("q1,q2,re,im\n" + rows)
+        with pytest.raises(CsvFormatError, match="different axes"):
+            read_operator_csv(path)
 
 
 @st.composite
@@ -141,22 +149,28 @@ class TestWriterAgainstPerRowOracle:
     @given(data=st.data())
     def test_bytes_match_and_read_back_bit_exactly(self, data):
         ax1, ax2 = data.draw(offset_axes()), data.draw(offset_axes())
-        values = np.empty((ax1.n, ax2.n), complex)
-        values.real = data.draw(arrays(float, values.shape, elements=EDGE_VALUES))
-        values.imag = data.draw(arrays(float, values.shape, elements=EDGE_VALUES))
-        expected = {h: naive_field_csv(h, ax1.values, ax2.values, values)
-                    for h in ("p,q,re,im", "q1,q2,re,im")}
+
+        def draw_values(shape):
+            values = np.empty(shape, complex)
+            values.real = data.draw(arrays(float, shape, elements=EDGE_VALUES))
+            values.imag = data.draw(arrays(float, shape, elements=EDGE_VALUES))
+            return values
+
+        # a field on (ax1, ax2); an operator kernel on its one axis ax1
+        values, op_values = draw_values((ax1.n, ax2.n)), draw_values((ax1.n, ax1.n))
         with tempfile.TemporaryDirectory() as tmp:
             field_path, op_path = Path(tmp) / "f.csv", Path(tmp) / "op.csv"
             write_field_csv(SampledField(PhaseGrid(ax1, ax2), values), field_path)
-            write_operator_csv(OperatorKernel(ax1, ax2, values), op_path)
-            assert field_path.read_bytes() == expected["p,q,re,im"]
-            assert op_path.read_bytes() == expected["q1,q2,re,im"]
+            write_operator_csv(OperatorKernel(ax1, op_values), op_path)
+            assert field_path.read_bytes() == naive_field_csv(
+                "p,q,re,im", ax1.values, ax2.values, values)
+            assert op_path.read_bytes() == naive_field_csv(
+                "q1,q2,re,im", ax1.values, ax1.values, op_values)
             field, kernel = read_field_csv(field_path), read_operator_csv(op_path)
         assert field.grid == PhaseGrid(ax1, ax2)
-        assert (kernel.q1_axis, kernel.q2_axis) == (ax1, ax2)
+        assert kernel.axis == ax1
         assert field.values.tobytes() == values.tobytes()
-        assert kernel.values.tobytes() == values.tobytes()
+        assert kernel.values.tobytes() == op_values.tobytes()
 
 
 def write_text(path, text):
