@@ -16,7 +16,8 @@ so the transform maps a unit-magnitude chirplet exp(i tan(pi/4 - alpha/2)
 principal branch; the spectral oracle below pins that choice rather than
 assuming it.  The chirplet identity holds on that branch for sin alpha > 0;
 where sin alpha < 0 the chirp rate |tan(pi/4 - alpha/2)| exceeds 1, and on
-(-pi/2, 0) mod 2 pi the closed form takes the other branch (minus the kernel).
+(-pi/2, 0) mod 2 pi the closed form takes the other branch (minus the kernel),
+so ``chirplet_identity_residual`` refuses such angles.
 
 ``frft_kernel_hermite`` is the branch-unambiguous oracle: the eigenfunction
 series sum_n e^{-i alpha n} psi_n(x) psi_n(y), summed with a smooth erfc
@@ -63,6 +64,18 @@ def _check_alpha(alpha: float) -> float:
         raise ValueError(
             f"alpha={alpha} is within the kernel singularity guard "
             f"(|sin alpha| = {abs(np.sin(alpha)):.3g} < {SIN_ALPHA_GUARD})"
+        )
+    return alpha
+
+
+def _check_chirplet_alpha(alpha: float) -> float:
+    """The chirplet identity's range, sin alpha >= SIN_ALPHA_GUARD: where
+    sin alpha < 0 the closed form sits on the other square-root branch."""
+    alpha = _check_alpha(alpha)
+    if np.sin(alpha) < 0:
+        raise ValueError(
+            f"alpha={alpha} is outside the chirplet identity's range "
+            f"sin alpha >= {SIN_ALPHA_GUARD} (sin alpha = {np.sin(alpha):.3g})"
         )
     return alpha
 
@@ -181,9 +194,11 @@ def chirplet_identity_residual(
       on ``chirplet_grid`` (requires epsilon > 0; skipped when epsilon == 0
       or the grid is None).
 
-    Returns the max-abs deviation over ``out_grid`` per path.
+    Returns the max-abs deviation over ``out_grid`` per path.  Angles with
+    sin alpha < SIN_ALPHA_GUARD are rejected: the identity holds on the
+    principal branch only for sin alpha > 0.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_chirplet_alpha(alpha)
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     t = np.tan(np.pi / 4 - alpha / 2)

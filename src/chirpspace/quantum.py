@@ -13,7 +13,9 @@ and density operators (symbol/2pi with the same sign convention), mixed
 momentum-bra/position-ket matrix elements, the oscillator-exponential
 correspondence, Kirkwood-Rihaczek closed forms, and ordered characteristic
 functions evaluated through matrix exponentials in a truncated oscillator
-eigenbasis.
+eigenbasis.  Those exponentials run in real arithmetic: P = -iK with K real
+antisymmetric, and Q = D^H P D with D = diag(i^n), so e^{-ivP} = expm(-vK)
+and e^{-iuQ} = D^H expm(-uK) D.
 
 The headline consistency identity tying this module to the chirp transform:
 
@@ -391,13 +393,13 @@ def _project_density(rho: OperatorKernel, basis: HermiteBasis, tol: float) -> np
     return R
 
 
-def _qp_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _exp_qp(u: float, v: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{-iuQ}, e^{-ivP}) for n = 0..n_max from the real generator K (P = -iK):
+    expm(-vK), and expm(-uK) conjugated by D = diag(i^n) from an exact table."""
     off = np.sqrt(np.arange(1, n_max + 1) / 2.0)
-    Qm = np.diag(off, 1)
-    Qm = Qm + Qm.T
-    Pm = np.diag(-1j * off, 1)
-    Pm = Pm + Pm.conj().T
-    return Qm, Pm
+    K = np.diag(off, 1) - np.diag(off, -1)
+    d = np.array([1, 1j, -1, -1j])[np.arange(n_max + 1) % 4]
+    return np.conj(d)[:, None] * expm(-u * K) * d, expm(-v * K)
 
 
 def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
@@ -406,12 +408,14 @@ def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: floa
     """Ordered characteristic function Tr[rho e^{i(q-Q)u} e^{i(p-P)v}].
 
     The operator part Tr[rho e^{-iQu} e^{-iPv}] is evaluated through matrix
-    exponentials of the tridiagonal Q, P representations in the truncated
-    eigenbasis, then multiplied by e^{i(qu + pv)}.
+    exponentials in the truncated eigenbasis, then multiplied by
+    e^{i(qu + pv)}.  Both exponentials come from the one real antisymmetric
+    generator K of ``_exp_qp`` (P = -iK, Q = D^H P D), so scipy's real
+    ``expm`` path runs instead of its complex one.
     """
     R = _project_density(rho, basis, projection_tol)
-    Qm, Pm = _qp_matrices(basis.n_max)
-    val = np.trace(R @ expm(-1j * u * Qm) @ expm(-1j * v * Pm))
+    eQ, eP = _exp_qp(u, v, basis.n_max)
+    val = np.trace(R @ eQ @ eP)
     return complex(val * np.exp(1j * (q * u + p * v)))
 
 
@@ -421,8 +425,10 @@ def char_function_pq(rho: OperatorKernel, basis: HermiteBasis, u: float, v: floa
     """Anti-ordered characteristic function Tr[rho e^{i(p-P)v} e^{i(q-Q)u}].
 
     Equals the conjugate of the ordered one at (-u, -v) for Hermitian rho.
+    Evaluated like ``char_function_qp``, from the real generator of
+    ``_exp_qp``.
     """
     R = _project_density(rho, basis, projection_tol)
-    Qm, Pm = _qp_matrices(basis.n_max)
-    val = np.trace(R @ expm(-1j * v * Pm) @ expm(-1j * u * Qm))
+    eQ, eP = _exp_qp(u, v, basis.n_max)
+    val = np.trace(R @ eP @ eQ)
     return complex(val * np.exp(1j * (q * u + p * v)))

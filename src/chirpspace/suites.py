@@ -75,14 +75,12 @@ class RunConfig:
                              f"to 4 decimals, got {self.alphas}")
         if self.seed < 0:
             raise ValueError(f"config field seed must be >= 0, got {self.seed}")
-        if not all(t >= 0 for t in self.tolerance_overrides.values()):
-            raise ValueError("config field tolerance_overrides values must be >= 0, "
-                             f"got {self.tolerance_overrides}")
-        # the chirplet identity's square-root branch and grid need sin alpha > 0
+        # an infinite tolerance passes any residual and writes a bare Infinity
+        if not all(0 <= t < np.inf for t in self.tolerance_overrides.values()):
+            raise ValueError("config field tolerance_overrides values must be finite "
+                             f"and >= 0, got {self.tolerance_overrides}")
         for a in self.alphas:
-            if not np.sin(a) >= closedform.SIN_ALPHA_GUARD:
-                raise ValueError(f"config alpha {a} violates the chirplet range "
-                                 f"sin alpha >= {closedform.SIN_ALPHA_GUARD}")
+            closedform._check_chirplet_alpha(a)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -134,6 +134,22 @@ def naive_shifted_form(h: SampledField, out: PhaseGrid) -> np.ndarray:
     return res * dp * dq / (2 * np.pi)
 
 
+def naive_char_function(rho, u: float, k: int, order: str = "qp") -> complex:
+    """Basis-free oracle for the characteristic functions at v = k * step:
+
+        Tr[rho e^{-iuQ} e^{-ivP}] = int dq rho(q, q + v) e^{-iu(q + v)},
+
+    one trapezoid sum along the k-th diagonal of the kernel; the anti-ordered
+    Tr[rho e^{-ivP} e^{-iuQ}] (order "pq") drops the e^{-iuv} factor.
+    """
+    ax = rho.axis
+    diag = np.diagonal(rho.values, offset=k)  # rho(q_i, q_{i+k})
+    q = ax.values[max(-k, 0):][:diag.size]
+    v = k * ax.step
+    phase = np.exp(-1j * u * (q + v)) if order == "qp" else np.exp(-1j * u * q)
+    return complex(np.sum(trapezoid_weights(diag.size) * diag * phase) * ax.step)
+
+
 def naive_field_csv(header: str, outer: np.ndarray, inner: np.ndarray,
                     values: np.ndarray) -> bytes:
     """Per-row oracle for the CSV writers: the header, then one

@@ -305,6 +305,8 @@ class TestUsageErrors:
         ("verify", "gaussian", "--config",
          {"tolerance_overrides": {"gaussian-lam-1": float("nan")}}),
         ("verify", "gaussian", "--config", {"tolerance_overrides": {"gaussian-lam-1": -1e-6}}),
+        ("verify", "gaussian", "--config",
+         {"tolerance_overrides": {"gaussian-lam-1": float("inf")}}),
         ("verify", "chirplet-kernel", "--alpha", "nan"),
         ("verify", "chirplet-kernel", "--config", {"alphas": []}),
         ("verify", "chirplet-kernel", "--alpha", "1.0", "--alpha", "1.0"),
@@ -333,7 +335,8 @@ class TestUsageErrors:
             "config-list-dict", "config-nan-epsilon", "config-inf-alpha",
             "config-int-out-dir", "config-negative-seed", "config-negative-damp",
             "config-zero-damp", "config-str-epsilon", "config-nan-tolerance",
-            "config-negative-tolerance", "alpha-nan", "config-alphas-empty",
+            "config-negative-tolerance", "config-inf-tolerance", "alpha-nan",
+            "config-alphas-empty",
             "alpha-duplicate", "alpha-same-4-decimals", "hermite-zero-terms",
             "epsilon-single", "epsilon-duplicate", "transform-grid-overflow",
             "kernel-grid-overflow", "transform-out-missing-dir",

@@ -180,3 +180,9 @@ class TestChirpletIdentity:
     def test_guard(self):
         with pytest.raises(ValueError, match="singularity guard"):
             chirplet_identity_residual(3.13, 0.0, None, self.out_grid())
+
+    @pytest.mark.parametrize("alpha", [-1.0, 4.0])
+    def test_rejects_negative_sine(self, alpha):
+        # the closed form sits on the other branch there: at -1.0 it returned 2.18
+        with pytest.raises(ValueError, match="chirplet identity's range"):
+            chirplet_identity_residual(alpha, 0.0, None, self.out_grid())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from chirpspace import (
     OperatorKernel,
@@ -30,7 +31,14 @@ from chirpspace import (
     wigner_to_kirkwood_residual,
 )
 
-from conftest import naive_weyl_quantize, naive_weyl_symbol, observed_orders, square_grid
+from chirpspace.quantum import _exp_qp
+from conftest import (
+    naive_char_function,
+    naive_weyl_quantize,
+    naive_weyl_symbol,
+    observed_orders,
+    square_grid,
+)
 
 SIG_AXIS = make_axis(-8.0, 8.0, 257)      # step 1/16
 OP_AXIS = make_axis(-9.0, 9.0, 145)       # step 1/8
@@ -51,10 +59,10 @@ def projector_kernel(n, axis=OP_AXIS):
     return OperatorKernel(axis, np.outer(psi, psi).astype(complex))
 
 
-def boosted_gaussian(p0, q0):
+def boosted_gaussian(p0, q0, axis=SIG_AXIS):
     """pi^{-1/4} e^{-(q-q0)^2/2 + i p0 q}: a complex state with both offsets."""
-    q = SIG_AXIS.values
-    return Signal(SIG_AXIS, np.pi**-0.25 * np.exp(-(q - q0)**2 / 2 + 1j * p0 * q))
+    q = axis.values
+    return Signal(axis, np.pi**-0.25 * np.exp(-(q - q0)**2 / 2 + 1j * p0 * q))
 
 
 def random_complex(seed, shape):
@@ -530,6 +538,41 @@ class TestCharFunctions:
         val = char_function_qp(rho, basis, u, v, q=q, p=p)
         ref = char_function_qp(rho, basis, u, v) * np.exp(1j * (q * u + p * v))
         assert val == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("state", ["n1", "mixed", "boosted"])
+    def test_matches_basis_free_oracle(self, state):
+        psi = hermite_functions(1, CHAR_AXIS.values)
+        g = boosted_gaussian(0.7, -0.5, CHAR_AXIS).values
+        vals = {
+            "n1": np.outer(psi[1], psi[1]),
+            "mixed": 0.5 * np.outer(psi[0], psi[0]) + 0.3 * np.outer(psi[1], psi[1])
+                     + 0.2 * np.outer(g, g.conj()),
+            "boosted": np.outer(g, g.conj()),
+        }[state]
+        rho = OperatorKernel(CHAR_AXIS, vals.astype(complex))
+        basis = self.basis()
+        for u in (-2.5, 0.8, 3.0):
+            for k in (-30, -7, 0, 12, 25):
+                v = k * CHAR_AXIS.step
+                assert abs(char_function_qp(rho, basis, u, v)
+                           - naive_char_function(rho, u, k, "qp")) < 1e-12
+                assert abs(char_function_pq(rho, basis, u, v)
+                           - naive_char_function(rho, u, k, "pq")) < 1e-12
+
+    @given(u=st.floats(-3.0, 3.0), v=st.floats(-3.0, 3.0))
+    def test_real_generator_matches_complex_exponentials(self, u, v):
+        n_max = 48
+        off = np.sqrt(np.arange(1, n_max + 1) / 2.0)
+        Q = np.diag(off, 1) + np.diag(off, -1)
+        P = np.diag(-1j * off, 1) + np.diag(1j * off, -1)
+        eQ, eP = _exp_qp(u, v, n_max)
+        assert np.abs(eQ - expm(-1j * u * Q)).max() < 1e-13
+        assert np.abs(eP - expm(-1j * v * P)).max() < 1e-13
+        assert np.isrealobj(eP)
+        # scipy's real expm keeps orthogonality only to 2.0e-13 for an argument
+        # near 1.82, just below its switch from 2 to 3 squarings (complex: 4e-15)
+        for M in (eQ, eP):
+            assert np.abs(M.conj().T @ M - np.eye(n_max + 1)).max() < 5e-13
 
     def test_rejects_poor_projection(self):
         small = make_hermite_basis(3, CHAR_AXIS)
