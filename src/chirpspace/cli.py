@@ -110,7 +110,8 @@ def _cmd_verify(args) -> int:
         return _output_error(exc)
     report = run_suite(args.suite, cfg)
     try:
-        report_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        report_path.write_text(
+            json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
     except OSError as exc:
         return _output_error(exc)
 

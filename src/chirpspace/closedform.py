@@ -191,8 +191,8 @@ def chirplet_identity_residual(
     * closed form at lam = epsilon - i tan(pi/4 - alpha/2), exact in epsilon
       (epsilon = 0 gives the pure analytic continuation);
     * quadrature: ``forward_fast`` applied to the regularized chirplet sampled
-      on ``chirplet_grid`` (requires epsilon > 0; skipped when epsilon == 0
-      or the grid is None).
+      on ``chirplet_grid``, run if and only if that grid is given (then
+      epsilon must be > 0); ``quadrature`` is None without a grid.
 
     Returns the max-abs deviation over ``out_grid`` per path.  Angles with
     sin alpha < SIN_ALPHA_GUARD are rejected: the identity holds on the
@@ -211,7 +211,7 @@ def chirplet_identity_residual(
     res_closed = float(np.abs(closed - target).max())
 
     res_quad = None
-    if epsilon > 0 and chirplet_grid is not None:
+    if chirplet_grid is not None:
         ch = chirplet_field(alpha, epsilon, chirplet_grid)
         quad = pref * forward_fast(ch, out_grid).values
         res_quad = float(np.abs(quad - target).max())

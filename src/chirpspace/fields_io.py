@@ -3,8 +3,9 @@
 Field files: header ``p,q,re,im``, one row per grid point in storage order
 (p outer, q inner), floats written with 17 significant digits so that a
 write/read round trip is bit-exact.  Operator kernels use ``q1,q2,re,im``
-with the same layout; their q1 and q2 columns must give one axis.  Axes are
-reconstructed from the coordinate columns and validated for uniformity.
+with the same layout; their q1 and q2 columns must give one axis (whether the
+kernel is a density operator is ``quantum.validate_density``'s check).  Axes
+are reconstructed from the coordinate columns and validated for uniformity.
 Rows are read with one ``np.loadtxt``; cells are plain numbers.  The writer
 formats each coordinate once: the inner coordinates go into a row template
 with two ``%.17g`` value slots per point, and each outer row is filled by one
@@ -18,7 +19,7 @@ import warnings
 import numpy as np
 
 from .grid import Axis, PhaseGrid, SampledField
-from .quantum import OperatorKernel, validate_density
+from .quantum import OperatorKernel
 
 __all__ = ["write_field_csv", "read_field_csv", "write_operator_csv", "read_operator_csv"]
 
@@ -125,13 +126,8 @@ def read_field_csv(path) -> SampledField:
     return SampledField(PhaseGrid(ax_p, ax_q), values)
 
 
-def read_operator_csv(path, density: bool = False, tol: float = 1e-8) -> OperatorKernel:
-    """Load an operator kernel; with density=True also validate the
-    Hermiticity/unit-trace invariants."""
+def read_operator_csv(path) -> OperatorKernel:
     ax1, ax2, values = _read(path, "q1,q2,re,im")
     if ax1 != ax2:
         raise CsvFormatError(f"{path}: q1 and q2 give different axes, {ax1} and {ax2}")
-    kernel = OperatorKernel(ax1, values)
-    if density:
-        validate_density(kernel, tol)
-    return kernel
+    return OperatorKernel(ax1, values)

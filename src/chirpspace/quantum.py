@@ -15,7 +15,8 @@ correspondence, Kirkwood-Rihaczek closed forms, and ordered characteristic
 functions evaluated through matrix exponentials in a truncated oscillator
 eigenbasis.  Those exponentials run in real arithmetic: P = -iK with K real
 antisymmetric, and Q = D^H P D with D = diag(i^n), so e^{-ivP} = expm(-vK)
-and e^{-iuQ} = D^H expm(-uK) D.
+and e^{-iuQ} = D^H expm(-uK) D.  The density-operator invariants (Hermiticity,
+unit trace, to DENSITY_TOL) are checked here only, by ``validate_density``.
 
 The headline consistency identity tying this module to the chirp transform:
 
@@ -64,6 +65,8 @@ __all__ = [
 ]
 
 BOUNDARY_TINY = 1e-12
+# density invariants (Hermiticity, unit trace) and the basis projection residual
+DENSITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,30 +82,33 @@ class OperatorKernel:
         object.__setattr__(self, "values", _check_values(self.values, shape, "kernel"))
 
 
-def validate_density(rho: OperatorKernel, tol: float = 1e-8) -> None:
+def validate_density(rho: OperatorKernel) -> None:
     """Check the density-operator invariants: Hermiticity and unit trace."""
     herm = np.abs(rho.values - rho.values.conj().T).max()
-    if herm > tol:
-        raise ValueError(f"density operator not Hermitian: max asymmetry {herm:.3g} > {tol:g}")
+    if herm > DENSITY_TOL:
+        raise ValueError(f"density operator not Hermitian: asymmetry {herm:.3g} > {DENSITY_TOL:g}")
     tr = rho.axis.step * np.trace(rho.values)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density operator trace {tr:.6g} differs from 1 by more than {tol:g}")
+    if abs(tr - 1.0) > DENSITY_TOL:
+        raise ValueError(f"density operator trace {tr:.6g} differs from 1 by > {DENSITY_TOL:g}")
 
 
 @dataclass(frozen=True)
 class HermiteBasis:
-    """Oscillator eigenfunctions psi_n tabulated on an axis, n = 0..n_max."""
+    """Oscillator eigenfunctions psi_n tabulated on an axis, one row per n = 0..n_max."""
 
-    n_max: int
     axis: Axis
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.table, dtype=float)
-        if arr.shape != (self.n_max + 1, self.axis.n):
-            raise ValueError("basis table shape does not match n_max/axis")
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != self.axis.n:
+            raise ValueError(f"basis table shape {arr.shape} is not (n_max + 1, {self.axis.n})")
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
+
+    @property
+    def n_max(self) -> int:
+        return self.table.shape[0] - 1
 
 
 def make_hermite_basis(n_max: int, axis: Axis) -> HermiteBasis:
@@ -112,7 +118,7 @@ def make_hermite_basis(n_max: int, axis: Axis) -> HermiteBasis:
     the axis covers roughly [-sqrt(2 n_max) - 4, sqrt(2 n_max) + 4] and the
     step resolves the fastest oscillation.
     """
-    return HermiteBasis(n_max, axis, hermite_functions(n_max, axis.values))
+    return HermiteBasis(axis, hermite_functions(n_max, axis.values))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +341,12 @@ def kirkwood_qp_closed(psi: Signal, p, q):
 
     with psi~(p) = (2 pi)^{-1/2} int dq e^{-i p q} psi(q) by trapezoid.
     Broadcasts over array p, q; psi(q) is exact for q on the signal lattice
-    and linearly interpolated otherwise.
+    and linearly interpolated otherwise.  A q outside the signal axis is
+    rejected, not extrapolated.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    _check_within(psi.axis, q.min(), q.max(), "q", "signal axis")
     ft = _dense_fourier(psi.axis, psi.values, p.ravel()).reshape(p.shape)
     i, s = psi.axis.cell(q)
     pq = (1.0 - s) * psi.values[i] + s * psi.values[i + 1]
@@ -377,7 +385,7 @@ def wigner_to_kirkwood_residual(
     return KirkwoodResiduals(res_qp, res_pq)
 
 
-def _project_density(rho: OperatorKernel, basis: HermiteBasis, tol: float) -> np.ndarray:
+def _project_density(rho: OperatorKernel, basis: HermiteBasis) -> np.ndarray:
     if rho.axis != basis.axis:
         raise ValueError("density operator must be sampled on the basis axis")
     w = basis.axis.weights
@@ -385,11 +393,9 @@ def _project_density(rho: OperatorKernel, basis: HermiteBasis, tol: float) -> np
     recon = basis.table.T @ R @ basis.table
     denom = np.linalg.norm(rho.values)
     resid = np.linalg.norm(rho.values - recon) / denom if denom > 0 else 0.0
-    if resid > tol:
-        raise ValueError(
-            f"density operator poorly represented in the basis "
-            f"(projection residual {resid:.3g} > {tol:g}); increase n_max or the axis range"
-        )
+    if resid > DENSITY_TOL:
+        raise ValueError(f"density operator poorly represented in the basis (projection residual "
+                         f"{resid:.3g} > {DENSITY_TOL:g}); increase n_max or the axis range")
     return R
 
 
@@ -403,8 +409,7 @@ def _exp_qp(u: float, v: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
-                     q: float = 0.0, p: float = 0.0,
-                     projection_tol: float = 1e-8) -> complex:
+                     q: float = 0.0, p: float = 0.0) -> complex:
     """Ordered characteristic function Tr[rho e^{i(q-Q)u} e^{i(p-P)v}].
 
     The operator part Tr[rho e^{-iQu} e^{-iPv}] is evaluated through matrix
@@ -413,22 +418,21 @@ def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: floa
     generator K of ``_exp_qp`` (P = -iK, Q = D^H P D), so scipy's real
     ``expm`` path runs instead of its complex one.
     """
-    R = _project_density(rho, basis, projection_tol)
+    R = _project_density(rho, basis)
     eQ, eP = _exp_qp(u, v, basis.n_max)
     val = np.trace(R @ eQ @ eP)
     return complex(val * np.exp(1j * (q * u + p * v)))
 
 
 def char_function_pq(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
-                     q: float = 0.0, p: float = 0.0,
-                     projection_tol: float = 1e-8) -> complex:
+                     q: float = 0.0, p: float = 0.0) -> complex:
     """Anti-ordered characteristic function Tr[rho e^{i(p-P)v} e^{i(q-Q)u}].
 
     Equals the conjugate of the ordered one at (-u, -v) for Hermitian rho.
     Evaluated like ``char_function_qp``, from the real generator of
     ``_exp_qp``.
     """
-    R = _project_density(rho, basis, projection_tol)
+    R = _project_density(rho, basis)
     eQ, eP = _exp_qp(u, v, basis.n_max)
     val = np.trace(R @ eP @ eQ)
     return complex(val * np.exp(1j * (q * u + p * v)))

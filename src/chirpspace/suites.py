@@ -82,13 +82,6 @@ class RunConfig:
         for a in self.alphas:
             closedform._check_chirplet_alpha(a)
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for key, val in d.items():
-            if isinstance(val, tuple):
-                d[key] = list(val)
-        return d
-
 
 def _typed(key: str, default, val):
     """A JSON config value checked against the type of the field's default:
@@ -134,6 +127,7 @@ class VerificationReport:
         for c in self.cases:
             d = dataclasses.asdict(c)
             d["pass"] = d.pop("passed")
+            d["residual"] = c.residual if np.isfinite(c.residual) else None  # strict JSON
             cases.append(d)
         return {
             "suite": self.suite,
@@ -428,5 +422,5 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
         suite=name,
         cases=cases,
         overall_pass=all(c.passed for c in cases),
-        config=cfg.to_dict(),
+        config=dataclasses.asdict(cfg),
     )

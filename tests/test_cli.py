@@ -21,6 +21,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def load_strict_json(path):
+    """Parse a report as strict JSON: a bare Infinity, -Infinity or NaN raises."""
+    def reject(token):
+        raise ValueError(f"report holds the non-JSON constant {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 class TestVerifyCommand:
     def test_gaussian_suite_passes(self, tmp_path, capsys):
         assert run_cli("verify", "gaussian", "--out", str(tmp_path)) == 0
@@ -130,15 +138,17 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(quantum, "char_function_qp", boom)
         assert run_cli("verify", "charfun", "--out", str(tmp_path)) == 1
-        report = json.loads((tmp_path / "report-charfun.json").read_text())
+        report = load_strict_json(tmp_path / "report-charfun.json")
         assert report["overall_pass"] is False
         assert [c["name"] for c in report["cases"]] == [
             "charfun-closed", "charfun-trace", "charfun-conjugate"]
         for c in report["cases"]:
             assert c["pass"] is False
-            assert c["residual"] == float("inf")
+            assert c["residual"] is None  # inf, which strict JSON cannot hold
             assert c["error"] == "RuntimeError: characteristic function unavailable"
-        assert "characteristic function unavailable" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "characteristic function unavailable" in out
+        assert "[FAIL] charfun-closed: residual inf" in out
 
 
 class TestNanResidual:
@@ -163,9 +173,9 @@ class TestNanResidual:
         monkeypatch.setattr(quantum, "char_function_qp", closed_form_then_nan)
         assert run_cli("verify", "charfun", "--out", str(tmp_path)) == 1
         cases = {c["name"]: c for c in
-                 json.loads((tmp_path / "report-charfun.json").read_text())["cases"]}
+                 load_strict_json(tmp_path / "report-charfun.json")["cases"]}
         assert cases["charfun-closed"]["pass"] is False
-        assert np.isnan(cases["charfun-closed"]["residual"])
+        assert cases["charfun-closed"]["residual"] is None  # nan, written as null
         assert cases["charfun-closed"]["error"] is None
         assert cases["charfun-trace"]["pass"] is True
 

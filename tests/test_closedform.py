@@ -177,6 +177,11 @@ class TestChirpletIdentity:
         with pytest.raises(ValueError, match="epsilon"):
             chirplet_identity_residual(1.0, -0.1, None, self.out_grid())
 
+    def test_quadrature_grid_needs_positive_epsilon(self):
+        # a grid asks for the quadrature, which has no undamped chirplet to sample
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            chirplet_identity_residual(1.0, 0.0, square_grid(10, 201), self.out_grid())
+
     def test_guard(self):
         with pytest.raises(ValueError, match="singularity guard"):
             chirplet_identity_residual(3.13, 0.0, None, self.out_grid())

@@ -15,6 +15,7 @@ from chirpspace import (
     make_axis,
     read_field_csv,
     read_operator_csv,
+    validate_density,
     write_field_csv,
     write_operator_csv,
 )
@@ -94,6 +95,21 @@ class TestFieldCsv:
         with pytest.raises(CsvFormatError, match="tensor grid"):
             read_field_csv(path)
 
+    def test_uneven_inner_coordinates(self, tmp_path):
+        # a 2x3 tensor grid whose inner axis q = 0, 1, 3 has two step sizes
+        path = tmp_path / "f.csv"
+        path.write_text("p,q,re,im\n" + "".join(
+            f"{p},{q},1,0\n" for p in (0, 1) for q in (0, 1, 3)))
+        with pytest.raises(CsvFormatError, match="inner coordinates are not uniformly increasing"):
+            read_field_csv(path)
+
+    def test_decreasing_outer_coordinates(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("p,q,re,im\n" + "".join(
+            f"{p},{q},1,0\n" for p in (2, 1, 0) for q in (0, 1)))
+        with pytest.raises(CsvFormatError, match="outer coordinates are not uniformly increasing"):
+            read_field_csv(path)
+
 
 class TestOperatorCsv:
     def kernel(self):
@@ -114,15 +130,16 @@ class TestOperatorCsv:
         K = self.kernel()
         path = tmp_path / "rho.csv"
         write_operator_csv(K, path)
-        read_operator_csv(path, density=True)  # projector: valid density
+        validate_density(read_operator_csv(path))  # projector: valid density
 
     def test_density_validation_rejects_scaled(self, tmp_path):
         K = self.kernel()
         bad = OperatorKernel(K.axis, 2.0 * K.values)
         path = tmp_path / "rho.csv"
         write_operator_csv(bad, path)
+        back = read_operator_csv(path)  # reading checks no density invariant
         with pytest.raises(ValueError, match="trace"):
-            read_operator_csv(path, density=True)
+            validate_density(back)
 
     def test_rejects_two_axes(self, tmp_path):
         # a 3x4 q1,q2 lattice: an operator kernel lives on one axis

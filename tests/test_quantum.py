@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from chirpspace import (
+    HermiteBasis,
     OperatorKernel,
     PhaseGrid,
     SampledField,
@@ -485,6 +486,16 @@ class TestKirkwoodClosed:
         ref = np.conj(read) * ft * np.exp(1j * p * q) / np.sqrt(2 * np.pi)
         assert np.allclose(kirkwood_qp_closed(psi, p, q), ref, rtol=1e-12, atol=0)
 
+    def test_q_beyond_the_signal_axis_is_rejected(self):
+        # psi = 1 + 0.5 q on [-2, 2] was read at q = 6 as the extrapolated 4
+        ax = make_axis(-2.0, 2.0, 41)
+        psi = Signal(ax, (1.0 + 0.5 * ax.values).astype(complex))
+        with pytest.raises(ValueError, match="outside"):
+            kirkwood_qp_closed(psi, 0.3, 6.0)
+        with pytest.raises(ValueError, match="outside"):
+            kirkwood_pq_closed(psi, np.zeros(2), np.array([0.0, -2.5]))
+        assert np.isfinite(kirkwood_qp_closed(psi, 0.3, 2.0))
+
 
 class TestWignerToKirkwood:
     def test_residuals_ground_and_excited(self):
@@ -593,3 +604,14 @@ class TestHermiteBasis:
         basis = make_hermite_basis(120, ax)
         gram = ax.step * basis.table @ basis.table.T
         assert np.abs(gram - np.eye(121)).max() < 1e-8
+
+    def test_n_max_is_read_off_the_table(self):
+        basis = make_hermite_basis(48, CHAR_AXIS)
+        assert basis.n_max == 48
+        assert basis.table.shape == (49, CHAR_AXIS.n)
+        assert HermiteBasis(CHAR_AXIS, basis.table[:3]).n_max == 2
+
+    @pytest.mark.parametrize("shape", [(4, 240), (4, 242), (241,), (0, 241)])
+    def test_rejects_a_table_that_does_not_fit_the_axis(self, shape):
+        with pytest.raises(ValueError, match="basis table shape"):
+            HermiteBasis(CHAR_AXIS, np.zeros(shape))

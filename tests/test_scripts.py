@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,3 +32,12 @@ class TestEpsilonLadder:
         assert np.all(np.isfinite(ladder_rows))
         # the closed form is exact in epsilon, so its residual falls with epsilon
         assert ladder_rows[1, 2] < ladder_rows[0, 2]
+
+    def test_rejects_a_zero_epsilon(self, monkeypatch, capsys):
+        # the quadrature needs a damped chirplet; epsilon = 0 is the anchor row
+        ladder = load_script("epsilon_ladder")
+        monkeypatch.setattr(sys, "argv", ["epsilon_ladder.py", "--epsilon", "0"])
+        with pytest.raises(SystemExit) as exc:
+            ladder.main()
+        assert exc.value.code == 2
+        assert "--epsilon values must be > 0" in capsys.readouterr().err
