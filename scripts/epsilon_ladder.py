@@ -4,8 +4,12 @@
 For each angle, evaluates the identity residual along a ladder of Gaussian
 regularization strengths, on two paths: the closed form (exact in epsilon)
 and the quadrature fast path applied to the sampled regularized chirplet.
-Both should decrease monotonically as epsilon shrinks; the closed form at
-epsilon = 0 is the analytic-continuation anchor.
+The closed-form residual is the damping's own bias and falls with epsilon;
+the closed form at epsilon = 0 is the analytic-continuation anchor.  The
+third column compares the quadrature with the closed form at the same
+epsilon: it stays near rounding until the grid stops resolving the damping.
+On the default grid it is at most 4.6e-12 down to epsilon = 0.02, and at
+0.01 it reaches 1.4e-6 at the edge angles, sin alpha = 0.1.
 """
 import argparse
 
@@ -35,14 +39,15 @@ def main():
     eax = make_axis(-args.eval_extent, args.eval_extent, args.eval_n)
     out = PhaseGrid(eax, eax)
 
-    print(f"{'alpha':>8} {'epsilon':>9} {'closed-form':>12} {'quadrature':>12}")
+    print(f"{'alpha':>8} {'epsilon':>9} {'closed-form':>12} {'quadrature':>12} "
+          f"{'quad-closed':>12}")
     for alpha in alphas:
         anchor = chirplet_identity_residual(alpha, 0.0, None, out)
-        print(f"{alpha:8.4f} {0.0:9.3g} {anchor.closed_form:12.3e} {'-':>12}")
+        print(f"{alpha:8.4f} {0.0:9.3g} {anchor.closed_form:12.3e} {'-':>12} {'-':>12}")
         for eps in epsilons:
             res = chirplet_identity_residual(alpha, eps, cgrid, out)
             print(f"{alpha:8.4f} {eps:9.3g} {res.closed_form:12.3e} "
-                  f"{res.quadrature:12.3e}")
+                  f"{res.quadrature:12.3e} {res.quadrature_vs_closed:12.3e}")
         print()
 
 

@@ -56,7 +56,6 @@ from .suites import RunConfig, VerificationReport, run_suite
 from .xform import (
     forward_direct,
     forward_fast,
-    forward_shifted_form,
     inverse_direct,
     inverse_fast,
     parseval_residual,

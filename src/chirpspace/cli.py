@@ -1,8 +1,12 @@
 """Command-line front end.
 
-    chirpspace verify <suite> [--config FILE] [--alpha A]... [--epsilon E]... [--out DIR]
+    chirpspace verify <suite> [--config FILE] [--alpha A]... [--out DIR]
     chirpspace transform --in FILE --direction D --path P --grid "min,max,n;min,max,n" --out FILE
     chirpspace kernel --alpha A --grid "min,max,n;min,max,n" --method M --out FILE
+
+The verify config (a JSON file, then flags) chooses four things: the seed,
+the chirplet angles, tolerance overrides and the output directory.  Every
+suite's grids and the chirplet damping ladder are fixed.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage, config, or input parse errors, or an output that cannot be written.
@@ -55,15 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser(
         "verify", help="run a named verification suite",
-        description="The config (--config, --alpha, --epsilon, --out) chooses the seed, "
-                    "the chirplet angles, the damping ladder, tolerance overrides and "
-                    "the output directory; every suite's grids are fixed.")
+        description="The config (--config, --alpha, --out) chooses four things: the seed, "
+                    "the chirplet angles, tolerance overrides and the output directory; "
+                    "every suite's grids and the chirplet damping ladder are fixed.")
     pv.add_argument("suite", choices=sorted(SUITE_NAMES))
     pv.add_argument("--config", help="JSON config file")
     pv.add_argument("--alpha", action="append", type=float, default=None,
                     help="override the chirplet-identity angle list (repeatable, radians)")
-    pv.add_argument("--epsilon", action="append", type=float, default=None,
-                    help="override the damping ladder (repeatable)")
     pv.add_argument("--out", default=None, help="report output directory")
 
     pt = sub.add_parser("transform", help="transform a field file")
@@ -93,8 +95,6 @@ def _cmd_verify(args) -> int:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         if args.alpha:
             cfg.alphas = tuple(args.alpha)
-        if args.epsilon:
-            cfg.epsilons = tuple(args.epsilon)
         if args.out:
             cfg.out_dir = args.out
         cfg.validate()

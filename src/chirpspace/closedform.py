@@ -176,6 +176,7 @@ def frft_kernel_hermite(alpha: float, x, y, n_terms: int):
 class ChirpletIdentityResiduals(NamedTuple):
     closed_form: float
     quadrature: float | None
+    quadrature_vs_closed: float | None
 
 
 def chirplet_identity_residual(
@@ -194,7 +195,11 @@ def chirplet_identity_residual(
       on ``chirplet_grid``, run if and only if that grid is given (then
       epsilon must be > 0); ``quadrature`` is None without a grid.
 
-    Returns the max-abs deviation over ``out_grid`` per path.  Angles with
+    Returns the max-abs deviation over ``out_grid`` per path, and
+    ``quadrature_vs_closed``, the max-abs deviation of the quadrature from
+    the closed form at the same epsilon (None without a grid).  The first two
+    include the damping's bias |closed(epsilon) - closed(0)|; the third does
+    not, so it sees the quadrature's own error.  Angles with
     sin alpha < SIN_ALPHA_GUARD are rejected: the identity holds on the
     principal branch only for sin alpha > 0.
     """
@@ -210,9 +215,10 @@ def chirplet_identity_residual(
     closed = pref * gaussian_transform_closed(lam_eps, X, Y)
     res_closed = float(np.abs(closed - target).max())
 
-    res_quad = None
+    res_quad = res_vs_closed = None
     if chirplet_grid is not None:
         ch = chirplet_field(alpha, epsilon, chirplet_grid)
         quad = pref * forward_fast(ch, out_grid).values
         res_quad = float(np.abs(quad - target).max())
-    return ChirpletIdentityResiduals(res_closed, res_quad)
+        res_vs_closed = float(np.abs(quad - closed).max())
+    return ChirpletIdentityResiduals(res_closed, res_quad, res_vs_closed)

@@ -18,6 +18,7 @@ from scipy.interpolate import RegularGridInterpolator
 import chirpspace
 from chirpspace import Axis, PhaseGrid, SampledField, make_axis, trapezoid_weights
 from chirpspace.suites import _gaussian_poly_field as gaussian_poly_field  # noqa: F401
+from chirpspace.xform import _check_field, _check_grid
 
 
 @pytest.fixture
@@ -101,6 +102,54 @@ def naive_weyl_quantize(h: SampledField, axis: Axis) -> np.ndarray:
             col = np.array([np.interp((q1 + q2) / 2, hq, row) for row in h.values])
             out[i, k] = np.sum(wp * col * np.exp(1j * p * (q1 - q2)))
     return out * h.grid.p_axis.step / (2 * np.pi)
+
+
+def _read_zero_beyond(values: np.ndarray, axis: Axis, at: np.ndarray) -> np.ndarray:
+    """Linear read of ``values`` along its last dimension, sampled on ``axis``,
+    at the points ``at``.  One zero node pads each end of the axis, and the
+    read is zero beyond the pads."""
+    pad = Axis(axis.min - axis.step, axis.max + axis.step, axis.n + 2)
+    v = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(1, 1)])
+    i, s = pad.cell(at)
+    s = np.clip(s, 0.0, 1.0)
+    return v[..., i] * (1.0 - s) + v[..., i + 1] * s
+
+
+def forward_shifted_form(h: SampledField, out: PhaseGrid) -> SampledField:
+    """Equivalent shifted form of the forward transform:
+
+        f(x, y) = (1/(2 pi)) * iint h(p + x, y + q/2) exp(i p q) dp dq
+
+    Shifted arguments are read off h linearly along p, then along q (a
+    bilinear read); h falls linearly to zero over the cell past each edge
+    and is zero beyond it.  Agreement with ``forward_direct`` is
+    interpolation-limited and tightens quadratically under grid refinement.
+    This is a consistency check, not a performance path.
+    """
+    _check_field(h)
+    _check_grid(out)
+    ax_p, ax_q = h.grid.p_axis, h.grid.q_axis
+    xs = out.p_axis.values
+    ys = out.q_axis.values
+    pad_x = max(abs(xs[0]), abs(xs[-1]))
+    pad_y = max(abs(ys[0]), abs(ys[-1]))
+
+    # integration lattice: p at h's own p-step, q at twice h's q-step so the
+    # second argument y + q/2 advances by one h-cell per node
+    n_p = int(np.ceil((ax_p.max - ax_p.min + 2 * pad_x) / ax_p.step)) + 1
+    n_q = int(np.ceil((ax_q.max - ax_q.min + 2 * pad_y) / ax_q.step)) + 1
+    lo_p, lo_q = ax_p.min - pad_x, 2.0 * (ax_q.min - pad_y)
+    lattice = PhaseGrid(Axis(lo_p, lo_p + ax_p.step * (n_p - 1), n_p),
+                        Axis(lo_q, lo_q + 2.0 * ax_q.step * (n_q - 1), n_q))
+    p_int, q_int = lattice.p_axis.values, lattice.q_axis.values
+    kern = np.exp(1j * np.outer(p_int, q_int)) * lattice.weights
+    vals = np.empty((len(xs), len(ys)), dtype=complex)
+    for a, x in enumerate(xs):
+        h_x = _read_zero_beyond(h.values.T, ax_p, p_int + x).T   # (n_p, h's n_q)
+        for b, y in enumerate(ys):
+            shifted = _read_zero_beyond(h_x, ax_q, y + q_int / 2.0)
+            vals[a, b] = np.sum(shifted * kern)
+    return SampledField(out, vals / (2.0 * np.pi))
 
 
 def naive_shifted_form(h: SampledField, out: PhaseGrid) -> np.ndarray:

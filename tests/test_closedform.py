@@ -159,7 +159,7 @@ class TestChirpletIdentity:
     def test_closed_path_continuation(self):
         res = chirplet_identity_residual(np.pi / 3, 0.0, None, self.out_grid())
         assert res.closed_form < 1e-10
-        assert res.quadrature is None
+        assert res.quadrature is None and res.quadrature_vs_closed is None
 
     def test_closed_path_fourier_angle(self):
         res = chirplet_identity_residual(np.pi / 2, 0.0, None, self.out_grid())
@@ -172,6 +172,8 @@ class TestChirpletIdentity:
         r1 = chirplet_identity_residual(np.pi / 2, 0.01, cgrid, out)
         assert r5.quadrature < 1e-2
         assert r1.quadrature < r5.quadrature
+        # at equal damping only the quadrature's own error remains
+        assert r5.quadrature_vs_closed < 1e-11
 
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):

@@ -24,10 +24,11 @@ class TestEpsilonLadder:
         ladder.main()
         lines = capsys.readouterr().out.splitlines()
         rows = [line.split() for line in lines[1:] if line.strip()]
-        # one epsilon = 0 anchor row per angle, with no quadrature value
+        # one epsilon = 0 anchor row per angle, with no quadrature values
         anchors = [r for r in rows if r[3] == "-"]
-        assert len(anchors) == 1 and float(anchors[0][1]) == 0.0
+        assert len(anchors) == 1 and float(anchors[0][1]) == 0.0 and anchors[0][4] == "-"
         ladder_rows = np.array([[float(v) for v in r] for r in rows if r[3] != "-"])
+        assert ladder_rows.shape == (2, 5)
         assert ladder_rows[:, :2].tolist() == [[1.0, 0.1], [1.0, 0.05]]
         assert np.all(np.isfinite(ladder_rows))
         # the closed form is exact in epsilon, so its residual falls with epsilon

@@ -8,7 +8,6 @@ from chirpspace import (
     SampledField,
     forward_direct,
     forward_fast,
-    forward_shifted_form,
     gaussian_transform_closed,
     inverse_direct,
     inverse_fast,
@@ -19,6 +18,7 @@ from chirpspace import (
 
 from conftest import (
     assert_chirp_resolved,
+    forward_shifted_form,
     gaussian_poly_field,
     naive_shifted_form,
     naive_transform,
