@@ -324,9 +324,15 @@ class TestUsageErrors:
         ("verify", "gaussian", "--config", {"seed": "abc"}),
         ("verify", "gaussian", "--config", {"alphas": 1.0}),
         ("verify", "gaussian", "--config", {"tolerance_overrides": [1]}),
+        # epsilons is no longer a config field: each of these rows, once a
+        # damping value the validator rejected, is now an unknown-field error
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [float("nan"), 0.1]}),
         ("verify", "chirplet-kernel", "--config", {"alphas": [float("inf")]}),
         ("verify", "gaussian", "--config", {"out_dir": 5}),
         ("verify", "roundtrip", "--config", {"seed": -1}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [-0.1, 0.1]}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [0.0, 0.1]}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": ["0.1", 0.05]}),
         ("verify", "gaussian", "--config",
          {"tolerance_overrides": {"gaussian-lam-1": float("nan")}}),
         ("verify", "gaussian", "--config", {"tolerance_overrides": {"gaussian-lam-1": -1e-6}}),
@@ -338,6 +344,8 @@ class TestUsageErrors:
         ("verify", "chirplet-kernel", "--alpha", "1.0", "--alpha", "1.00001"),
         ("kernel", "--alpha", "1.0", "--method", "hermite", "--terms", "0",
          "--grid=-1,1,3;-1,1,3"),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [0.1]}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [0.1, 0.1]}),
         ("transform", "--in", _field_file, "--direction", "forward",
          "--grid=-1e308,1e308,5;-1,1,5", "--out", lambda tmp: str(tmp / "f.csv")),
         ("kernel", "--alpha", "1.0", "--grid=-1e308,1e308,5;-1,1,5",
@@ -355,12 +363,13 @@ class TestUsageErrors:
         ("verify", "chirplet-kernel", "--alpha", "-1.0"),
         ("verify", "chirplet-kernel", "--alpha", "4.0"),
     ], ids=["config-list", "config-str-int", "config-scalar-list",
-            "config-list-dict", "config-inf-alpha",
-            "config-int-out-dir", "config-negative-seed", "config-nan-tolerance",
+            "config-list-dict", "config-nan-epsilon", "config-inf-alpha",
+            "config-int-out-dir", "config-negative-seed", "config-negative-damp",
+            "config-zero-damp", "config-str-epsilon", "config-nan-tolerance",
             "config-negative-tolerance", "config-inf-tolerance", "alpha-nan",
             "config-alphas-empty",
             "alpha-duplicate", "alpha-same-4-decimals", "hermite-zero-terms",
-            "transform-grid-overflow",
+            "epsilon-single", "epsilon-duplicate", "transform-grid-overflow",
             "kernel-grid-overflow", "transform-out-missing-dir",
             "kernel-out-missing-dir", "verify-out-is-a-file", "config-dunder-dict",
             "config-dunder-weakref", "config-dunder-doc", "config-method-name",
