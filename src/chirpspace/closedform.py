@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erfc
 
-from .grid import PhaseGrid, SampledField, sample_field
+from .grid import PhaseGrid, SampledField
 from .hermite import hermite_functions
 from .xform import forward_fast
 
@@ -120,9 +120,9 @@ def chirplet_field(alpha: float, epsilon: float, grid: PhaseGrid) -> SampledFiel
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    t = np.tan(np.pi / 4 - float(alpha) / 2)
-    c = -float(epsilon) + 1j * t
-    return sample_field(lambda P, Q: np.exp(c * (P**2 + Q**2)), grid)
+    c = -float(epsilon) + 1j * np.tan(np.pi / 4 - float(alpha) / 2)
+    e_p, e_q = (np.exp(c * ax.values**2) for ax in (grid.p_axis, grid.q_axis))
+    return SampledField(grid, np.outer(e_p, e_q))
 
 
 def frft_kernel(alpha: float, x, y):

@@ -18,7 +18,8 @@ where w = ``h.grid.weights`` holds the trapezoid weights, steps included.
   exp(2ipq) * exp(-2ipy) * exp(-2ixq) * exp(2ixy)
   and evaluates the two middle factors as a separable Fourier sum at the
   frequencies (2y, 2x) with Bluestein/chirp-z resampling per axis, which
-  lands exactly on an arbitrary uniform output grid.
+  lands exactly on an arbitrary uniform output grid.  ``_chirp`` builds each outer
+  chirp exp(2iab) from blocks of sqrt(len(b)) nodes, within 4 eps (1 + max|2ab|).
 
 Accuracy presumes the caller truncated the plane so |h| at the grid boundary
 is negligible (<= 1e-12 for the stated tolerances) and the grid resolves the
@@ -62,10 +63,19 @@ def _fourier_resample(arr: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: i
     a = np.exp(2j * dst[0] * ds)
     w = np.exp(-2j * dd * ds)
     out = czt(arr, m=len(dst), w=w, a=a, axis=axis)
-    phase = np.exp(-2j * dst * src[0])
-    shape = [1] * arr.ndim
-    shape[axis] = len(dst)
-    return out * phase.reshape(shape)
+    out *= np.exp(-2j * dst * src[0]).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
+    return out
+
+
+def _chirp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(2i a_j b_k) as exp(2i a_j b_k0) exp(2i a_j (k - k0) step_b), k0 = start of k's block."""
+    m, size = len(b), round(np.sqrt(len(b)))
+    head = np.exp(2j * np.outer(a, b[::size]))
+    tail = np.exp(2j * np.outer(a, (b[-1] - b[0]) / (m - 1) * np.arange(size)))
+    out = np.empty((len(a), m), dtype=complex)
+    for i, k0 in enumerate(range(0, m, size)):
+        np.multiply(head[:, i, None], tail[:, :m - k0], out=out[:, k0:k0 + size])
+    return out
 
 
 def forward_fast(h: SampledField, out: PhaseGrid) -> SampledField:
@@ -76,11 +86,13 @@ def forward_fast(h: SampledField, out: PhaseGrid) -> SampledField:
     q = h.grid.q_axis.values
     xs = out.p_axis.values
     ys = out.q_axis.values
-    g = h.values * h.grid.weights * np.exp(2j * np.outer(p, q))
+    g = h.values * (h.grid.weights / np.pi)
+    g *= _chirp(p, q)
     # p-sum at frequencies 2y, then q-sum at frequencies 2x
     acc = _fourier_resample(g, p, ys, axis=0)        # (n_y, n_q)
     acc = _fourier_resample(acc, q, xs, axis=1).T    # (n_x, n_y)
-    vals = acc / np.pi * np.exp(2j * np.outer(xs, ys))
+    vals = _chirp(xs, ys)
+    vals *= acc
     return SampledField(out, vals)
 
 

@@ -11,6 +11,7 @@ from chirpspace import (
     gaussian_transform_closed,
     hermite_functions,
     params_of_alpha,
+    sample_field,
 )
 
 from conftest import square_grid
@@ -101,6 +102,17 @@ class TestChirpletField:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             chirplet_field(1.0, 0.0, self.grid())
+
+    # the dyadic suite grid (step 1/16) and a non-dyadic one (step 0.03)
+    @pytest.mark.parametrize("extent", [25.0, 12.0])
+    @pytest.mark.parametrize("alpha, epsilon", [(np.pi / 3, 0.02), (2.5, 0.1)])
+    def test_separable_sampling_matches_pointwise(self, extent, alpha, epsilon):
+        grid = square_grid(extent, 801)
+        t = np.tan(np.pi / 4 - alpha / 2)
+        c = -epsilon + 1j * t
+        ref = sample_field(lambda P, Q: np.exp(c * (P**2 + Q**2)), grid).values
+        bound = 8 * np.finfo(float).eps * (1 + abs(t) * 2 * extent**2)
+        assert np.abs(chirplet_field(alpha, epsilon, grid).values - ref).max() <= bound
 
 
 class TestFrftKernel:

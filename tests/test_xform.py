@@ -15,6 +15,7 @@ from chirpspace import (
     parseval_residual,
     sample_field,
 )
+from chirpspace.xform import _chirp
 
 from conftest import (
     assert_chirp_resolved,
@@ -151,6 +152,67 @@ class TestLinearity:
             rhs = a * op(h1, out).values + b * op(h2, out).values
             scale = max(np.abs(rhs).max(), 1.0)
             assert np.abs(lhs - rhs).max() / scale < 1e-12
+
+
+class TestChirp:
+    """The blocked chirp against the elementwise exponential it replaces."""
+
+    @staticmethod
+    def check(a, b):
+        c = _chirp(a, b)
+        assert c.shape == (len(a), len(b))
+        assert c.flags.c_contiguous
+        ref = np.exp(2j * np.outer(a, b))
+        bound = 4 * np.finfo(float).eps * (1 + 2 * np.abs(np.outer(a, b)).max())
+        assert np.abs(c - ref).max() <= bound
+
+    # +-25 on 801 nodes has the dyadic step 1/16, +-12 the step 0.03; 801
+    # nodes make 28 blocks of 28 and a last one of 17
+    @pytest.mark.parametrize("extent", [25.0, 12.0])
+    @pytest.mark.parametrize("n", [2, 3, 9, 97, 128, 161, 401, 801])
+    def test_matches_exp_of_outer(self, extent, n):
+        ax = make_axis(-extent, extent, n).values
+        self.check(ax, ax)
+
+    def test_rectangular(self):
+        a = make_axis(-12, 12, 129).values
+        b = make_axis(-7.5, 9.0, 97).values
+        self.check(a, b)
+        self.check(b, a)
+
+
+class TestFullScaleCovariance:
+    """Lattice covariances of the fast path at 801^2 -> 401^2.  Each holds
+    exactly for the discrete sum, so no oracle is needed; the tolerance is
+    relative to max|f|, whose rounding grows with max|2pq|."""
+
+    grid = PhaseGrid(make_axis(-25, 25, 801), make_axis(-20, 20, 801))
+    out = PhaseGrid(make_axis(-6, 6, 401), make_axis(-8, 8, 401))
+
+    @staticmethod
+    def shifted(ax, d):
+        return make_axis(ax.min + d, ax.max + d, ax.n)
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        h = gaussian_poly_field(self.grid, np.random.default_rng(17))
+        return h, forward_fast(h, self.out).values
+
+    def assert_close(self, got, ref):
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_translating_both_grids_leaves_values(self, pair):
+        h, f = pair
+        a, b = 0.3, -1.7
+        grid = PhaseGrid(self.shifted(self.grid.p_axis, a), self.shifted(self.grid.q_axis, b))
+        out = PhaseGrid(self.shifted(self.out.p_axis, a), self.shifted(self.out.q_axis, b))
+        self.assert_close(forward_fast(SampledField(grid, h.values), out).values, f)
+
+    def test_swapping_axes_transposes(self, pair):
+        h, f = pair
+        grid = PhaseGrid(self.grid.q_axis, self.grid.p_axis)
+        out = PhaseGrid(self.out.q_axis, self.out.p_axis)
+        self.assert_close(forward_fast(SampledField(grid, h.values.T), out).values, f.T)
 
 
 class TestParseval:
