@@ -113,14 +113,14 @@ def gaussian_transform_closed(lam: complex, x, y):
 
 
 def chirplet_field(alpha: float, epsilon: float, grid: PhaseGrid) -> SampledField:
-    """Gaussian-regularized chirplet exp{(-eps + i tan(pi/4 - alpha/2))(p^2+q^2)}.
+    """Gaussian-regularized chirplet exp{-(lam + eps)(p^2+q^2)}, lam from ``params_of_alpha``.
 
     The caller's grid must resolve the chirp (step <= pi / (2 max|coord|));
     that is a test-harness responsibility and is not enforced here.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    c = -float(epsilon) + 1j * np.tan(np.pi / 4 - float(alpha) / 2)
+    c = -float(epsilon) - params_of_alpha(alpha).lam
     e_p, e_q = (np.exp(c * ax.values**2) for ax in (grid.p_axis, grid.q_axis))
     return SampledField(grid, np.outer(e_p, e_q))
 
@@ -206,13 +206,11 @@ def chirplet_identity_residual(
     alpha = _check_chirplet_alpha(alpha)
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    t = np.tan(np.pi / 4 - alpha / 2)
     pref = 2.0 / (1j * np.exp(-1j * alpha) + 1.0)
     X, Y = out_grid.meshes()
     target = np.sqrt(2 * np.pi) * frft_kernel(alpha, X, Y) * np.exp(1j * X * Y)
 
-    lam_eps = complex(epsilon, -t)
-    closed = pref * gaussian_transform_closed(lam_eps, X, Y)
+    closed = pref * gaussian_transform_closed(params_of_alpha(alpha).lam + epsilon, X, Y)
     res_closed = float(np.abs(closed - target).max())
 
     res_quad = res_vs_closed = None

@@ -337,6 +337,11 @@ def suite_weyl(cfg: RunConfig) -> list[CaseResult]:
 
 
 def suite_symbol_identity(cfg: RunConfig) -> list[CaseResult]:
+    """Each tolerance is 100x the case's residual (the cases take no config),
+    rounded up to a power of ten; osc-transform keeps 1e-6:
+    n0 transform 2.0e-13 -> 1e-10, inverse 5.1e-12 -> 1e-9;
+    n1 transform 1.8e-13 -> 1e-10, inverse 4.8e-11 -> 1e-8;
+    osc transform 3.0e-9 -> 1e-6, inverse 6.2e-10 -> 1e-7."""
     op_axis = make_axis(-8.0, 8.0, 257)      # step 1/16
     basis = quantum.make_hermite_basis(60, op_axis)
     sym_grid = PhaseGrid(make_axis(-6.0, 6.0, 129), make_axis(-6.0, 6.0, 97))
@@ -344,18 +349,20 @@ def suite_symbol_identity(cfg: RunConfig) -> list[CaseResult]:
     kernels = {f"n{n}": quantum.OperatorKernel(op_axis, np.outer(psi, psi).astype(complex))
                for n, psi in enumerate(basis.table[:2])}
     kernels["osc"] = quantum.oscillator_exponential_kernel(-np.log(3.0), basis)
+    tol = {"n0": (1e-10, 1e-9), "n1": (1e-10, 1e-8), "osc": (1e-6, 1e-7)}  # (transform, inverse)
     cases = []
     for tag, K in kernels.items():
         cases += _cases(cfg, [
             (f"symbol-identity-{tag}-transform",
-             "transform of the symbol equals the scaled mixed matrix element", 1e-6),
+             "transform of the symbol equals the scaled mixed matrix element", tol[tag][0]),
             (f"symbol-identity-{tag}-inverse",
-             "inverse transform of the mixed matrix element recovers the symbol", 1e-6),
+             "inverse transform of the mixed matrix element recovers the symbol", tol[tag][1]),
         ], lambda: quantum.symbol_identity_residual(K, sym_grid, out))
     return cases
 
 
 def suite_kirkwood(cfg: RunConfig) -> list[CaseResult]:
+    """Tolerance 1e-10: 100x the worst residual, 2.1e-13 (no config), rounded up."""
     sax = make_axis(-8.0, 8.0, 257)
     table = hermite_functions(1, sax.values)
     wgrid = _square_grid(6.5, 209)
@@ -365,9 +372,9 @@ def suite_kirkwood(cfg: RunConfig) -> list[CaseResult]:
         psi = Signal(sax, table[n].astype(complex))
         cases += _cases(cfg, [
             (f"kirkwood-n{n}-qp",
-             "transform of the Wigner function equals the Kirkwood-Rihaczek form", 1e-6),
+             "transform of the Wigner function equals the Kirkwood-Rihaczek form", 1e-10),
             (f"kirkwood-n{n}-pq",
-             "inverse-kernel transform equals the anti-ordered Kirkwood form", 1e-6),
+             "inverse-kernel transform equals the anti-ordered Kirkwood form", 1e-10),
         ], lambda: quantum.wigner_to_kirkwood_residual(psi, wgrid, out))
     return cases
 

@@ -20,6 +20,7 @@ where w = ``h.grid.weights`` holds the trapezoid weights, steps included.
   frequencies (2y, 2x) with Bluestein/chirp-z resampling per axis, which
   lands exactly on an arbitrary uniform output grid.  ``_chirp`` builds each outer
   chirp exp(2iab) from blocks of sqrt(len(b)) nodes, within 4 eps (1 + max|2ab|).
+  Both kernels take ``Axis`` objects and read each lattice step from ``Axis.step``.
 
 Accuracy presumes the caller truncated the plane so |h| at the grid boundary
 is negligible (<= 1e-12 for the stated tolerances) and the grid resolves the
@@ -31,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import czt
 
-from .grid import PhaseGrid, SampledField, weighted_norm_sq
+from .grid import Axis, PhaseGrid, SampledField, weighted_norm_sq
 
 __all__ = [
     "forward_direct",
@@ -52,27 +53,22 @@ def _check_grid(out: PhaseGrid) -> None:
         raise TypeError(f"expected PhaseGrid, got {type(out).__name__}")
 
 
-def _fourier_resample(arr: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int) -> np.ndarray:
-    """sum_j arr[j] * exp(-2i * dst_b * src_j) along `axis` via chirp-z.
-
-    src and dst must be uniform; dst may have any offset/step (Bluestein
-    evaluates the sum on the arbitrary output lattice exactly).
-    """
-    ds = src[1] - src[0]
-    dd = dst[1] - dst[0]
-    a = np.exp(2j * dst[0] * ds)
-    w = np.exp(-2j * dd * ds)
-    out = czt(arr, m=len(dst), w=w, a=a, axis=axis)
-    out *= np.exp(-2j * dst * src[0]).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
+def _fourier_resample(arr: np.ndarray, src: Axis, dst: Axis, axis: int) -> np.ndarray:
+    """sum_j arr[j] * exp(-2i * dst_b * src_j) along `axis` via chirp-z; dst may
+    have any offset and step (Bluestein lands exactly on its lattice)."""
+    a = np.exp(2j * dst.min * src.step)
+    w = np.exp(-2j * dst.step * src.step)
+    out = czt(arr, m=dst.n, w=w, a=a, axis=axis)
+    out *= np.exp(-2j * dst.values * src.min).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
     return out
 
 
-def _chirp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """exp(2i a_j b_k) as exp(2i a_j b_k0) exp(2i a_j (k - k0) step_b), k0 = start of k's block."""
-    m, size = len(b), round(np.sqrt(len(b)))
-    head = np.exp(2j * np.outer(a, b[::size]))
-    tail = np.exp(2j * np.outer(a, (b[-1] - b[0]) / (m - 1) * np.arange(size)))
-    out = np.empty((len(a), m), dtype=complex)
+def _chirp(a: Axis, b: Axis) -> np.ndarray:
+    """exp(2i a_j b_k) as exp(2i a_j b_k0) exp(2i a_j (k - k0) b.step), k0 = start of k's block."""
+    av, m, size = a.values, b.n, round(np.sqrt(b.n))
+    head = np.exp(2j * np.outer(av, b.values[::size]))
+    tail = np.exp(2j * np.outer(av, b.step * np.arange(size)))
+    out = np.empty((a.n, m), dtype=complex)
     for i, k0 in enumerate(range(0, m, size)):
         np.multiply(head[:, i, None], tail[:, :m - k0], out=out[:, k0:k0 + size])
     return out
@@ -82,16 +78,14 @@ def forward_fast(h: SampledField, out: PhaseGrid) -> SampledField:
     """Fast path: chirp pre/post multiplies around per-axis chirp-z resampling."""
     _check_field(h)
     _check_grid(out)
-    p = h.grid.p_axis.values
-    q = h.grid.q_axis.values
-    xs = out.p_axis.values
-    ys = out.q_axis.values
+    p, q = h.grid.p_axis, h.grid.q_axis
+    x, y = out.p_axis, out.q_axis
     g = h.values * (h.grid.weights / np.pi)
     g *= _chirp(p, q)
     # p-sum at frequencies 2y, then q-sum at frequencies 2x
-    acc = _fourier_resample(g, p, ys, axis=0)        # (n_y, n_q)
-    acc = _fourier_resample(acc, q, xs, axis=1).T    # (n_x, n_y)
-    vals = _chirp(xs, ys)
+    acc = _fourier_resample(g, p, y, axis=0)        # (n_y, n_q)
+    acc = _fourier_resample(acc, q, x, axis=1).T    # (n_x, n_y)
+    vals = _chirp(x, y)
     vals *= acc
     return SampledField(out, vals)
 

@@ -111,6 +111,30 @@ class TestVerifyCommand:
         assert not any(c["pass"] for c in quadrature)
         assert all(c["pass"] for c in closed)
 
+    @pytest.mark.parametrize("mutated, caught, spared", [
+        ("forward_fast", ("-qp", "n0-transform", "n1-transform"), ("-pq", "-inverse")),
+        ("inverse_fast", ("-pq", "n0-inverse", "n1-inverse"), ("-qp", "-transform")),
+    ])
+    def test_kirkwood_and_symbol_cases_catch_a_relative_error_of_1e7(
+            self, tmp_path, monkeypatch, mutated, caught, spared):
+        # mutation analysis: one direction of the transform off by one part in
+        # 10^7 fails the cases that read it and leaves the other side passing
+        exact = getattr(quantum, mutated)
+
+        def scaled(h, out):
+            f = exact(h, out)
+            return SampledField(f.grid, f.values * (1 + 1e-7))
+
+        monkeypatch.setattr(quantum, mutated, scaled)
+        cases = []
+        for suite in ("kirkwood", "symbol-identity"):
+            assert run_cli("verify", suite, "--out", str(tmp_path)) == 1
+            cases += load_strict_json(tmp_path / f"report-{suite}.json")["cases"]
+        failed = {c["name"] for c in cases if not c["pass"]}
+        must_fail = {c["name"] for c in cases if c["name"].endswith(caught)}
+        assert len(must_fail) == 4 and must_fail <= failed
+        assert not failed & {c["name"] for c in cases if c["name"].endswith(spared)}
+
     def test_positive_sine_outside_first_period_passes(self, tmp_path):
         # sin 7.0 = 0.657: the chirplet range is sin alpha >= 0.1, not 0 < alpha < pi
         assert run_cli("verify", "chirplet-kernel", "--alpha", "7.0",

@@ -103,6 +103,14 @@ class TestChirpletField:
         with pytest.raises(ValueError, match="epsilon"):
             chirplet_field(1.0, 0.0, self.grid())
 
+    @pytest.mark.parametrize("alpha, match", [
+        (0.0, "singularity guard"), (3.1, "singularity guard"),
+        (np.nan, "must be finite"), (np.inf, "must be finite"),
+    ])
+    def test_rejects_alpha_like_params_of_alpha(self, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            chirplet_field(alpha, 0.1, self.grid())
+
     # the dyadic suite grid (step 1/16) and a non-dyadic one (step 0.03)
     @pytest.mark.parametrize("extent", [25.0, 12.0])
     @pytest.mark.parametrize("alpha, epsilon", [(np.pi / 3, 0.02), (2.5, 0.1)])

@@ -160,10 +160,11 @@ class TestChirp:
     @staticmethod
     def check(a, b):
         c = _chirp(a, b)
-        assert c.shape == (len(a), len(b))
+        assert c.shape == (a.n, b.n)
         assert c.flags.c_contiguous
-        ref = np.exp(2j * np.outer(a, b))
-        bound = 4 * np.finfo(float).eps * (1 + 2 * np.abs(np.outer(a, b)).max())
+        ab = np.outer(a.values, b.values)
+        ref = np.exp(2j * ab)
+        bound = 4 * np.finfo(float).eps * (1 + 2 * np.abs(ab).max())
         assert np.abs(c - ref).max() <= bound
 
     # +-25 on 801 nodes has the dyadic step 1/16, +-12 the step 0.03; 801
@@ -171,12 +172,12 @@ class TestChirp:
     @pytest.mark.parametrize("extent", [25.0, 12.0])
     @pytest.mark.parametrize("n", [2, 3, 9, 97, 128, 161, 401, 801])
     def test_matches_exp_of_outer(self, extent, n):
-        ax = make_axis(-extent, extent, n).values
+        ax = make_axis(-extent, extent, n)
         self.check(ax, ax)
 
     def test_rectangular(self):
-        a = make_axis(-12, 12, 129).values
-        b = make_axis(-7.5, 9.0, 97).values
+        a = make_axis(-12, 12, 129)
+        b = make_axis(-7.5, 9.0, 97)
         self.check(a, b)
         self.check(b, a)
 
@@ -189,9 +190,11 @@ class TestFullScaleCovariance:
     grid = PhaseGrid(make_axis(-25, 25, 801), make_axis(-20, 20, 801))
     out = PhaseGrid(make_axis(-6, 6, 401), make_axis(-8, 8, 401))
 
-    @staticmethod
-    def shifted(ax, d):
-        return make_axis(ax.min + d, ax.max + d, ax.n)
+    def both_mapped(self, fp, fq):
+        """Input and output grids with fp applied to the p (x) bounds, fq to the q (y) bounds."""
+        return [PhaseGrid(make_axis(fp(g.p_axis.min), fp(g.p_axis.max), g.p_axis.n),
+                          make_axis(fq(g.q_axis.min), fq(g.q_axis.max), g.q_axis.n))
+                for g in (self.grid, self.out)]
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -199,14 +202,20 @@ class TestFullScaleCovariance:
         return h, forward_fast(h, self.out).values
 
     def assert_close(self, got, ref):
-        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_translating_both_grids_leaves_values(self, pair):
         h, f = pair
-        a, b = 0.3, -1.7
-        grid = PhaseGrid(self.shifted(self.grid.p_axis, a), self.shifted(self.grid.q_axis, b))
-        out = PhaseGrid(self.shifted(self.out.p_axis, a), self.shifted(self.out.q_axis, b))
-        self.assert_close(forward_fast(SampledField(grid, h.values), out).values, f)
+        for a, b in [(0.3, -1.7), (3.0, 2.0)]:
+            grid, out = self.both_mapped(lambda p: p + a, lambda q: q + b)
+            self.assert_close(forward_fast(SampledField(grid, h.values), out).values, f)
+
+    def test_squeezing_both_grids_leaves_values(self, pair):
+        # (p - x)(q - y) and the cell area step_p * step_q are unchanged
+        h, f = pair
+        for s in [1.25, 0.7]:
+            grid, out = self.both_mapped(lambda p: p / s, lambda q: q * s)
+            self.assert_close(forward_fast(SampledField(grid, h.values), out).values, f)
 
     def test_swapping_axes_transposes(self, pair):
         h, f = pair
