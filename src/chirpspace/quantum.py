@@ -125,8 +125,8 @@ def make_hermite_basis(n_max: int, axis: Axis) -> HermiteBasis:
 # interpolation helpers
 
 def _check_within(axis: Axis, lo: float, hi: float, what: str, where: str) -> None:
-    """Reject a requested range [lo, hi] that leaves the axis (1e-12 slack)."""
-    if lo < axis.min - 1e-12 or hi > axis.max + 1e-12:
+    """Reject a requested range [lo, hi] that leaves the axis (1e-12 slack) or is NaN."""
+    if not (axis.min - 1e-12 <= lo and hi <= axis.max + 1e-12):
         raise ValueError(
             f"{what} [{lo}, {hi}] outside the {where} [{axis.min}, {axis.max}], "
             "which is too small"

@@ -6,21 +6,25 @@ Forward map of a field h(p, q):
 
 and the inverse uses the conjugate kernel with the same 1/pi measure.  Both
 paths evaluate the same trapezoid discretization of this integral over the
-input grid:
+input grid, with w_jk = ``p.weights[j] * q.weights[k]`` (steps included):
 
     f(x, y) ~= (1/pi) * sum_{j,k} w_jk h[j,k] exp(2i (p_j - x)(q_k - y))
 
-where w = ``h.grid.weights`` holds the trapezoid weights, steps included.
-
 * ``forward_direct`` contracts the sum column-by-column against explicitly
-  evaluated kernel factors (quadrature oracle, O(n^3));
+  evaluated kernel factors (quadrature oracle, O(n^3)); ``inverse_direct`` is
+  conj(forward_direct[conj(f)]);
 * ``forward_fast`` factors the kernel as
   exp(2ipq) * exp(-2ipy) * exp(-2ixq) * exp(2ixy)
   and evaluates the two middle factors as a separable Fourier sum at the
   frequencies (2y, 2x) with Bluestein/chirp-z resampling per axis, which
-  lands exactly on an arbitrary uniform output grid.  ``_chirp`` builds each outer
-  chirp exp(2iab) from blocks of sqrt(len(b)) nodes, within 4 eps (1 + max|2ab|).
-  Both kernels take ``Axis`` objects and read each lattice step from ``Axis.step``.
+  lands exactly on an arbitrary uniform output grid.  ``inverse_fast`` runs the
+  same kernel with phase sign -1: conjugate chirps and conjugate chirp-z a, w.
+  Stages: the pre-chirp with p.weights / pi folded into its rows, times q.weights
+  and h in place; chirp-z along p; chirp-z along q; the post-chirp.  Each stage's
+  array replaces the last, so the pre-chirped field dies as the first chirp-z
+  returns.  ``_chirp`` builds each chirp from blocks of sqrt(len(b)) nodes, within
+  4 eps (1 + max|2ab|) max|row|.  Both kernels take ``Axis`` objects and read each
+  lattice step from ``Axis.step``.
 
 Accuracy presumes the caller truncated the plane so |h| at the grid boundary
 is negligible (<= 1e-12 for the stated tolerances) and the grid resolves the
@@ -53,41 +57,47 @@ def _check_grid(out: PhaseGrid) -> None:
         raise TypeError(f"expected PhaseGrid, got {type(out).__name__}")
 
 
-def _fourier_resample(arr: np.ndarray, src: Axis, dst: Axis, axis: int) -> np.ndarray:
-    """sum_j arr[j] * exp(-2i * dst_b * src_j) along `axis` via chirp-z; dst may
+def _fourier_resample(arr: np.ndarray, src: Axis, dst: Axis, axis: int, sign: int) -> np.ndarray:
+    """sum_j arr[j] * exp(-2i sign dst_b src_j) along `axis` via chirp-z; dst may
     have any offset and step (Bluestein lands exactly on its lattice)."""
-    a = np.exp(2j * dst.min * src.step)
-    w = np.exp(-2j * dst.step * src.step)
+    a = np.exp(2j * sign * dst.min * src.step)
+    w = np.exp(-2j * sign * dst.step * src.step)
     out = czt(arr, m=dst.n, w=w, a=a, axis=axis)
-    out *= np.exp(-2j * dst.values * src.min).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
+    out *= np.exp(-2j * sign * dst.values * src.min).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
     return out
 
 
-def _chirp(a: Axis, b: Axis) -> np.ndarray:
-    """exp(2i a_j b_k) as exp(2i a_j b_k0) exp(2i a_j (k - k0) b.step), k0 = start of k's block."""
-    av, m, size = a.values, b.n, round(np.sqrt(b.n))
-    head = np.exp(2j * np.outer(av, b.values[::size]))
-    tail = np.exp(2j * np.outer(av, b.step * np.arange(size)))
+def _chirp(a: Axis, b: Axis, sign: int, row=1.0) -> np.ndarray:
+    """row_j exp(2is a_j b_k) as row_j exp(2is a_j b_k0) exp(2is a_j (k - k0) b.step), s = sign."""
+    av, m, size = 2j * sign * a.values, b.n, round(np.sqrt(b.n))
+    head = np.exp(np.outer(av, b.values[::size])) * np.reshape(row, (-1, 1))
+    tail = np.exp(np.outer(av, b.step * np.arange(size)))
     out = np.empty((a.n, m), dtype=complex)
     for i, k0 in enumerate(range(0, m, size)):
         np.multiply(head[:, i, None], tail[:, :m - k0], out=out[:, k0:k0 + size])
     return out
 
 
-def forward_fast(h: SampledField, out: PhaseGrid) -> SampledField:
-    """Fast path: chirp pre/post multiplies around per-axis chirp-z resampling."""
+def _fast(h: SampledField, out: PhaseGrid, sign: int) -> SampledField:
+    """The fast path for the kernel exp(2i sign (p - x)(q - y))."""
     _check_field(h)
     _check_grid(out)
     p, q = h.grid.p_axis, h.grid.q_axis
     x, y = out.p_axis, out.q_axis
-    g = h.values * (h.grid.weights / np.pi)
-    g *= _chirp(p, q)
+    g = _chirp(p, q, sign, p.weights / np.pi)
+    g *= q.weights
+    g *= h.values
     # p-sum at frequencies 2y, then q-sum at frequencies 2x
-    acc = _fourier_resample(g, p, y, axis=0)        # (n_y, n_q)
-    acc = _fourier_resample(acc, q, x, axis=1).T    # (n_x, n_y)
-    vals = _chirp(x, y)
-    vals *= acc
-    return SampledField(out, vals)
+    g = _fourier_resample(g, p, y, 0, sign)         # (n_y, n_q)
+    g = _fourier_resample(g, q, x, 1, sign).T       # (n_x, n_y)
+    f = _chirp(x, y, sign)
+    f *= g
+    return SampledField(out, f)
+
+
+def forward_fast(h: SampledField, out: PhaseGrid) -> SampledField:
+    """Fast path: chirp pre/post multiplies around per-axis chirp-z resampling."""
+    return _fast(h, out, 1)
 
 
 def forward_direct(h: SampledField, out: PhaseGrid) -> SampledField:
@@ -111,21 +121,16 @@ def forward_direct(h: SampledField, out: PhaseGrid) -> SampledField:
     return SampledField(out, vals / np.pi)
 
 
-def _inverse_via_conjugation(f: SampledField, out: PhaseGrid, forward) -> SampledField:
-    # conj kernel: (1/pi) iint exp(-2i(p-x)(q-y)) f dx dy == conj(T[conj(f)])
-    conj_in = SampledField(f.grid, np.conj(f.values))
-    res = forward(conj_in, out)
-    return SampledField(out, np.conj(res.values))
-
-
 def inverse_fast(f: SampledField, out: PhaseGrid) -> SampledField:
-    """Inverse transform, fast path (conjugated chirps)."""
-    return _inverse_via_conjugation(f, out, forward_fast)
+    """Inverse transform, fast path (conjugate chirps and chirp-z factors)."""
+    return _fast(f, out, -1)
 
 
 def inverse_direct(f: SampledField, out: PhaseGrid) -> SampledField:
-    """Inverse transform, direct quadrature."""
-    return _inverse_via_conjugation(f, out, forward_direct)
+    """Inverse transform, direct quadrature: the conjugate kernel as conj(T[conj(f)])."""
+    _check_field(f)
+    res = forward_direct(SampledField(f.grid, np.conj(f.values)), out)
+    return SampledField(out, np.conj(res.values))
 
 
 _FORWARD = {"direct": forward_direct, "fast": forward_fast}

@@ -497,6 +497,14 @@ class TestKirkwoodClosed:
         assert np.isfinite(kirkwood_qp_closed(psi, 0.3, 2.0))
 
 
+    @pytest.mark.parametrize("fn", [kirkwood_qp_closed, kirkwood_pq_closed])
+    @pytest.mark.parametrize("q", [np.nan, [0.0, np.nan]], ids=["nan", "0-nan"])
+    def test_nan_q_is_rejected(self, fn, q):
+        # NaN compares false with both ends, so it must fail the check, not pass it
+        psi = state_signal(0)
+        with pytest.raises(ValueError, match="outside"):
+            fn(psi, np.zeros(np.shape(q)), q)
+
 class TestWignerToKirkwood:
     def test_residuals_ground_and_excited(self):
         for n in (0, 1):

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.signal import czt
 
 from chirpspace import (
     PhaseGrid,
@@ -15,6 +18,7 @@ from chirpspace import (
     parseval_residual,
     sample_field,
 )
+from chirpspace import xform
 from chirpspace.xform import _chirp
 
 from conftest import (
@@ -158,13 +162,13 @@ class TestChirp:
     """The blocked chirp against the elementwise exponential it replaces."""
 
     @staticmethod
-    def check(a, b):
-        c = _chirp(a, b)
+    def check(a, b, sign=1, row=1.0):
+        c = _chirp(a, b, sign, row)
         assert c.shape == (a.n, b.n)
         assert c.flags.c_contiguous
         ab = np.outer(a.values, b.values)
-        ref = np.exp(2j * ab)
-        bound = 4 * np.finfo(float).eps * (1 + 2 * np.abs(ab).max())
+        ref = np.reshape(row, (-1, 1)) * np.exp(2j * sign * ab)
+        bound = 4 * np.finfo(float).eps * (1 + 2 * np.abs(ab).max()) * np.abs(row).max()
         assert np.abs(c - ref).max() <= bound
 
     # +-25 on 801 nodes has the dyadic step 1/16, +-12 the step 0.03; 801
@@ -180,6 +184,50 @@ class TestChirp:
         b = make_axis(-7.5, 9.0, 97)
         self.check(a, b)
         self.check(b, a)
+
+    @pytest.mark.parametrize("n", [2, 97, 801])
+    def test_conjugate_sign_with_row_factor(self, n):
+        # the fast path's pre-chirp: sign -1 for the inverse, p weights / pi as rows
+        a = make_axis(-25, 25, n)
+        b = make_axis(-7.5, 9.0, 161)
+        self.check(a, b, -1, a.weights / np.pi)
+        self.check(b, a, -1, np.linspace(0.5, 3.0, b.n))
+
+
+class TestConjugateSignInverse:
+    """inverse_fast runs the conjugate chirps; it must equal the conjugation
+    identity conj(T[conj f]) that inverse_direct spells out."""
+
+    @pytest.mark.parametrize("grid,out", [
+        # the symbol-identity suite's inverse (225^2 -> 129 x 97) and a full-scale pair
+        (square_grid(7, 225), PhaseGrid(make_axis(-6, 6, 129), make_axis(-6, 6, 97))),
+        (PhaseGrid(make_axis(-25, 25, 801), make_axis(-20, 20, 801)),
+         PhaseGrid(make_axis(-6, 6, 401), make_axis(-8, 8, 401))),
+    ], ids=["225sq-129x97", "801sq-401sq"])
+    def test_matches_conjugated_forward(self, rng, grid, out):
+        f = gaussian_poly_field(grid, rng)
+        got = inverse_fast(f, out).values
+        ref = np.conj(forward_fast(SampledField(grid, np.conj(f.values)), out).values)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(f.values).max()
+
+
+class TestStageLifetimes:
+    """The pre-chirped field is freed when the first chirp-z returns, so it
+    does not share the second chirp-z's peak with that call's buffers."""
+
+    @pytest.mark.parametrize("op", [forward_fast, inverse_fast])
+    def test_first_czt_input_dead_at_second_czt(self, monkeypatch, op):
+        inputs, alive = [], []
+
+        def spy(arr, *args, **kwargs):
+            alive.append([ref() is not None for ref in inputs])
+            inputs.append(weakref.ref(arr))
+            return czt(arr, *args, **kwargs)
+
+        monkeypatch.setattr(xform, "czt", spy)
+        grid = square_grid(6, 64)
+        op(gaussian_field(grid), square_grid(8, 48))
+        assert alive == [[], [False]]
 
 
 class TestFullScaleCovariance:
@@ -216,6 +264,21 @@ class TestFullScaleCovariance:
         for s in [1.25, 0.7]:
             grid, out = self.both_mapped(lambda p: p / s, lambda q: q * s)
             self.assert_close(forward_fast(SampledField(grid, h.values), out).values, f)
+
+    @pytest.mark.parametrize("op,sign", [(forward_fast, 1), (inverse_fast, -1)],
+                             ids=["forward", "inverse"])
+    def test_modulating_p_shifts_y(self, pair, op, sign):
+        # (p - x)(q - y) + a p = (p - x)(q - (y - a)) + a x, so h e^{2i sign a p}
+        # maps to e^{2i sign a x} T^sign[h](x, y - a), read on the q-axis shifted by -a
+        h = pair[0]
+        p = self.grid.p_axis.values[:, None]
+        x = self.out.p_axis.values[:, None]
+        y = self.out.q_axis
+        for a in [0.7, -1.3]:
+            shifted = PhaseGrid(self.out.p_axis, make_axis(y.min - a, y.max - a, y.n))
+            ref = np.exp(2j * sign * a * x) * op(h, shifted).values
+            modulated = SampledField(self.grid, h.values * np.exp(2j * sign * a * p))
+            self.assert_close(op(modulated, self.out).values, ref)
 
     def test_swapping_axes_transposes(self, pair):
         h, f = pair
