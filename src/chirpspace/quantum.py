@@ -15,8 +15,14 @@ correspondence, Kirkwood-Rihaczek closed forms, and ordered characteristic
 functions evaluated through matrix exponentials in a truncated oscillator
 eigenbasis.  Those exponentials run in real arithmetic: P = -iK with K real
 antisymmetric, and Q = D^H P D with D = diag(i^n), so e^{-ivP} = expm(-vK)
-and e^{-iuQ} = D^H expm(-uK) D.  The density-operator invariants (Hermiticity,
-unit trace, to DENSITY_TOL) are checked here only, by ``validate_density``.
+and e^{-iuQ} = D^H expm(-uK) D.  A characteristic-function call runs all of its
+BLAS work on scipy's library, the one ``scipy.linalg.expm`` uses: the density
+projection, its reconstruction, the residual norms and the trace product go
+through ``scipy.linalg.blas``, not numpy.  numpy and scipy each load their own
+OpenBLAS, each with its own thread pool, and a call that switched between
+the two pools made them contend (about 5x slower on two cores).  The
+density-operator invariants (Hermiticity, unit trace, to DENSITY_TOL) are
+checked here only, by ``validate_density``.
 
 The headline consistency identity tying this module to the chirp transform:
 
@@ -30,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg.blas import dznrm2, zgemm
 
 from .grid import (
     Axis,
@@ -235,9 +242,14 @@ def _dense_fourier(axis: Axis, a: np.ndarray, xs) -> np.ndarray:
     w the axis's trapezoid weights.
 
     Dense on purpose: it is the side of the symbol identity that shares no
-    code with the chirp-z transform.
+    code with the chirp-z transform.  A non-finite frequency is rejected: it
+    would give NaN, or warn and then give NaN.
     """
-    E = np.exp(-1j * np.outer(np.asarray(xs, float), axis.values)) * axis.weights
+    xs = np.asarray(xs, float)
+    bad = xs[~np.isfinite(xs)]
+    if bad.size:
+        raise ValueError(f"frequency {bad[0]} is not finite")
+    E = np.exp(-1j * np.outer(xs, axis.values)) * axis.weights
     return (E @ a) / np.sqrt(2.0 * np.pi)
 
 
@@ -385,18 +397,34 @@ def wigner_to_kirkwood_residual(
     return KirkwoodResiduals(res_qp, res_pq)
 
 
-def _project_density(rho: OperatorKernel, basis: HermiteBasis) -> np.ndarray:
+def _zmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex a and b, on scipy's BLAS (``zgemm``).
+
+    Each operand is passed in its own memory order, a C-ordered one as its
+    transpose with the transpose flag set, so f2py copies nothing; the
+    product comes back Fortran-ordered.
+    """
+    ta, tb = int(not a.flags.f_contiguous), int(not b.flags.f_contiguous)
+    return zgemm(1.0, a.T if ta else a, b.T if tb else b, trans_a=ta, trans_b=tb)
+
+
+def _project_density(rho: OperatorKernel, basis: HermiteBasis) -> tuple[np.ndarray, float]:
+    """The basis matrix R = B (rho w w^T) B^T of rho, B the basis table, and its
+    projection residual |rho - B^T R B| / |rho| (Frobenius), which must not
+    exceed DENSITY_TOL.  Every product and norm runs on scipy's BLAS (see the
+    module docstring)."""
     if rho.axis != basis.axis:
         raise ValueError("density operator must be sampled on the basis axis")
     w = basis.axis.weights
-    R = basis.table @ (rho.values * np.outer(w, w)) @ basis.table.T
-    recon = basis.table.T @ R @ basis.table
-    denom = np.linalg.norm(rho.values)
-    resid = np.linalg.norm(rho.values - recon) / denom if denom > 0 else 0.0
+    table = basis.table.astype(complex)
+    R = _zmm(_zmm(table, rho.values * np.outer(w, w)), table.T)
+    recon = _zmm(_zmm(table.T, R), table)
+    denom = dznrm2(rho.values.ravel())
+    resid = dznrm2((rho.values - recon).ravel(order="K")) / denom if denom > 0 else 0.0
     if resid > DENSITY_TOL:
         raise ValueError(f"density operator poorly represented in the basis (projection residual "
                          f"{resid:.3g} > {DENSITY_TOL:g}); increase n_max or the axis range")
-    return R
+    return R, resid
 
 
 def _exp_qp(u: float, v: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,11 +444,13 @@ def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: floa
     exponentials in the truncated eigenbasis, then multiplied by
     e^{i(qu + pv)}.  Both exponentials come from the one real antisymmetric
     generator K of ``_exp_qp`` (P = -iK, Q = D^H P D), so scipy's real
-    ``expm`` path runs instead of its complex one.
+    ``expm`` path runs instead of its complex one.  Every product and norm
+    of the call runs on scipy's BLAS too (``_zmm``; see the module
+    docstring).
     """
-    R = _project_density(rho, basis)
+    R, _ = _project_density(rho, basis)
     eQ, eP = _exp_qp(u, v, basis.n_max)
-    val = np.trace(R @ eQ @ eP)
+    val = np.trace(_zmm(_zmm(R, eQ), eP.astype(complex)))
     return complex(val * np.exp(1j * (q * u + p * v)))
 
 
@@ -432,7 +462,7 @@ def char_function_pq(rho: OperatorKernel, basis: HermiteBasis, u: float, v: floa
     Evaluated like ``char_function_qp``, from the real generator of
     ``_exp_qp``.
     """
-    R = _project_density(rho, basis)
+    R, _ = _project_density(rho, basis)
     eQ, eP = _exp_qp(u, v, basis.n_max)
-    val = np.trace(R @ eP @ eQ)
+    val = np.trace(_zmm(_zmm(R, eP.astype(complex)), eQ))
     return complex(val * np.exp(1j * (q * u + p * v)))

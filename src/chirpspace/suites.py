@@ -3,16 +3,22 @@
 Each suite runs a handful of residual checks on its own fixed desk-scale
 grids and reports one ``CaseResult`` per check, tagged with a human-readable
 label of the identity being exercised.  All computations are seeded and
-deterministic; reports are byte-stable apart from the runtime fields.
+deterministic: on one machine, with one environment, reports are byte-stable
+apart from the runtime fields.  Each report records that environment in its
+``environment`` object (versions, core count, BLAS thread settings), since
+the BLAS threads move the runtimes and the last digits of some residuals.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from . import closedform, quantum, xform
 from .grid import PhaseGrid, SampledField, Signal, make_axis, sample_field
@@ -103,12 +109,26 @@ class CaseResult:
     error: str | None = None
 
 
+def _environment() -> dict:
+    """The Python, numpy and scipy versions, the core count, and the BLAS
+    thread settings as found in the environment (None when unset)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+    }
+
+
 @dataclass
 class VerificationReport:
     suite: str
     cases: list[CaseResult]
     overall_pass: bool
     config: dict
+    environment: dict = field(default_factory=_environment)
 
     def to_dict(self) -> dict:
         cases = []
@@ -121,6 +141,7 @@ class VerificationReport:
             "suite": self.suite,
             "overall_pass": self.overall_pass,
             "config_echo": self.config,
+            "environment": self.environment,
             "cases": cases,
         }
 
@@ -380,6 +401,15 @@ def suite_kirkwood(cfg: RunConfig) -> list[CaseResult]:
 
 
 def suite_charfun(cfg: RunConfig) -> list[CaseResult]:
+    """Each tolerance is 100x the case's worst residual (the cases take no
+    config), rounded up to a power of ten, with a floor of 1e-13; residuals
+    with the default BLAS threads and with one thread:
+
+        case                residual            tolerance
+        charfun-closed      5.8e-16             1e-13
+        charfun-trace       0 to 2.2e-16        1e-13
+        charfun-conjugate   2.2e-16 to 2.5e-16  1e-13
+    """
     bax = make_axis(-12.0, 12.0, 241)
     basis = quantum.make_hermite_basis(48, bax)
     rho = quantum.OperatorKernel(bax, np.outer(basis.table[0], basis.table[0]).astype(complex))
@@ -401,12 +431,12 @@ def suite_charfun(cfg: RunConfig) -> list[CaseResult]:
     return [
         _case(cfg, "charfun-closed",
               "ground-state ordered characteristic function matches its closed form",
-              1e-8, run_closed),
+              1e-13, run_closed),
         _case(cfg, "charfun-trace",
-              "characteristic function at the origin returns the trace", 1e-10, run_trace),
+              "characteristic function at the origin returns the trace", 1e-13, run_trace),
         _case(cfg, "charfun-conjugate",
               "anti-ordered characteristic function is the conjugate partner",
-              1e-12, run_conj),
+              1e-13, run_conj),
     ]
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,6 +137,37 @@ class TestVerifyCommand:
         must_fail = {c["name"] for c in cases if c["name"].endswith(caught)}
         assert len(must_fail) == 4 and must_fail <= failed
         assert not failed & {c["name"] for c in cases if c["name"].endswith(spared)}
+
+    @pytest.mark.parametrize("mutated, caught", [
+        ("expm", {"charfun-closed", "charfun-trace"}),
+        ("char_function_pq", {"charfun-conjugate"}),
+    ])
+    def test_charfun_cases_catch_a_relative_error_of_1e7(
+            self, tmp_path, monkeypatch, mutated, caught):
+        # mutation analysis: both exponentials, or the anti-ordered function,
+        # off by one part in 10^7 fail the cases that read them; an expm
+        # error scales both orders alike, so the conjugate pairing still holds
+        exact = getattr(quantum, mutated)
+        monkeypatch.setattr(quantum, mutated, lambda *a: exact(*a) * (1 + 1e-7))
+        assert run_cli("verify", "charfun", "--out", str(tmp_path)) == 1
+        cases = load_strict_json(tmp_path / "report-charfun.json")["cases"]
+        assert {c["name"] for c in cases if not c["pass"]} == caught
+        assert all(c["error"] is None for c in cases)
+
+    def test_report_records_its_environment(self, tmp_path, monkeypatch):
+        # recorded, not applied: OpenBLAS read its setting when it loaded
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert run_cli("verify", "gaussian", "--out", str(tmp_path)) == 0
+        env = load_strict_json(tmp_path / "report-gaussian.json")["environment"]
+        assert env == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": "2",
+            "OMP_NUM_THREADS": None,
+        }
 
     def test_positive_sine_outside_first_period_passes(self, tmp_path):
         # sin 7.0 = 0.657: the chirplet range is sin alpha >= 0.1, not 0 < alpha < pi

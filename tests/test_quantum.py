@@ -32,7 +32,7 @@ from chirpspace import (
     wigner_to_kirkwood_residual,
 )
 
-from chirpspace.quantum import _exp_qp
+from chirpspace.quantum import _exp_qp, _project_density
 from conftest import (
     naive_char_function,
     naive_weyl_quantize,
@@ -335,6 +335,11 @@ class TestMixedMatrixElement:
                     worst = max(worst, abs(val - ref))
             assert worst < 1e-8, f"alpha={alpha}"
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_x(self, x):
+        with pytest.raises(ValueError, match=f"frequency {x} is not finite"):
+            mixed_matrix_element(projector_kernel(0), x, 0.0)
+
     def test_rejects_y_outside_axis(self):
         with pytest.raises(ValueError, match="outside"):
             mixed_matrix_element(projector_kernel(0), 0.0, 100.0)
@@ -505,6 +510,15 @@ class TestKirkwoodClosed:
         with pytest.raises(ValueError, match="outside"):
             fn(psi, np.zeros(np.shape(q)), q)
 
+    @pytest.mark.parametrize("fn", [kirkwood_qp_closed, kirkwood_pq_closed])
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+    def test_non_finite_p_is_rejected(self, fn, p):
+        # a NaN p gave nan+nanj, and an infinite one warned in the exponential
+        with pytest.raises(ValueError, match=f"frequency {p} is not finite"):
+            fn(state_signal(0), p, 0.0)
+        with pytest.raises(ValueError, match=f"frequency {p} is not finite"):
+            fn(state_signal(0), np.array([0.5, p]), np.zeros(2))
+
 class TestWignerToKirkwood:
     def test_residuals_ground_and_excited(self):
         for n in (0, 1):
@@ -558,8 +572,7 @@ class TestCharFunctions:
         ref = char_function_qp(rho, basis, u, v) * np.exp(1j * (q * u + p * v))
         assert val == pytest.approx(ref, abs=1e-12)
 
-    @pytest.mark.parametrize("state", ["n1", "mixed", "boosted"])
-    def test_matches_basis_free_oracle(self, state):
+    def density(self, state):
         psi = hermite_functions(1, CHAR_AXIS.values)
         g = boosted_gaussian(0.7, -0.5, CHAR_AXIS).values
         vals = {
@@ -568,7 +581,11 @@ class TestCharFunctions:
                      + 0.2 * np.outer(g, g.conj()),
             "boosted": np.outer(g, g.conj()),
         }[state]
-        rho = OperatorKernel(CHAR_AXIS, vals.astype(complex))
+        return OperatorKernel(CHAR_AXIS, vals.astype(complex))
+
+    @pytest.mark.parametrize("state", ["n1", "mixed", "boosted"])
+    def test_matches_basis_free_oracle(self, state):
+        rho = self.density(state)
         basis = self.basis()
         for u in (-2.5, 0.8, 3.0):
             for k in (-30, -7, 0, 12, 25):
@@ -592,6 +609,20 @@ class TestCharFunctions:
         # near 1.82, just below its switch from 2 to 3 squarings (complex: 4e-15)
         for M in (eQ, eP):
             assert np.abs(M.conj().T @ M - np.eye(n_max + 1)).max() < 5e-13
+
+    @pytest.mark.parametrize("state", ["n1", "mixed", "boosted"])
+    def test_projection_matches_numpy_products(self, state):
+        # the projection runs on scipy's BLAS; numpy's products and norms are
+        # the reference for its values and for the residual it checks
+        rho, basis = self.density(state), self.basis()
+        R, resid = _project_density(rho, basis)
+        w = CHAR_AXIS.weights
+        table = basis.table
+        ref = table @ (rho.values * np.outer(w, w)) @ table.T
+        assert np.abs(R - ref).max() < 1e-15
+        ref_resid = (np.linalg.norm(rho.values - table.T @ ref @ table)
+                     / np.linalg.norm(rho.values))
+        assert resid == pytest.approx(ref_resid, rel=1e-12, abs=0)
 
     def test_rejects_poor_projection(self):
         small = make_hermite_basis(3, CHAR_AXIS)
