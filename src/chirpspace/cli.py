@@ -9,7 +9,12 @@ the chirplet angles, tolerance overrides and the output directory.  Every
 suite's grids and the chirplet damping ladder are fixed.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage, config, or input parse errors, or an output that cannot be written.
+2 usage, config, or input parse errors, an output that cannot be written,
+or a transform or kernel whose result leaves the float range.  Besides
+argparse's own usage errors, exit 2 is decided in one place: ``main`` runs
+each command under ``np.errstate(..., "raise")`` and turns an ``OSError``,
+``ValueError`` or ``FloatingPointError`` into one stderr line.  Inside
+``verify`` a case catches its own errors and fails (exit 1).
 Angles are radians.
 """
 from __future__ import annotations
@@ -85,35 +90,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_error(exc: OSError | ValueError) -> int:
-    print(f"output error: {exc}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _cmd_verify(args) -> int:
-    try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        if args.alpha:
-            cfg.alphas = tuple(args.alpha)
-        if args.out:
-            cfg.out_dir = args.out
-        cfg.validate()
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    if args.alpha:
+        cfg.alphas = tuple(args.alpha)
+    if args.out:
+        cfg.out_dir = args.out
+    cfg.validate()
 
     out_dir = Path(cfg.out_dir)
     report_path = out_dir / f"report-{args.suite}.json"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
-        return _output_error(exc)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = run_suite(args.suite, cfg)
-    try:
-        report_path.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
-    except OSError as exc:
-        return _output_error(exc)
+    report_path.write_text(
+        json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     for c in report.cases:
         status = "PASS" if c.passed else "FAIL"
@@ -127,12 +117,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    try:
-        field = fields_io.read_field_csv(args.infile)
-        out_grid = _parse_grid_spec(args.grid)
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    field = fields_io.read_field_csv(args.infile)
+    out_grid = _parse_grid_spec(args.grid)
 
     ops = xform._FORWARD if args.direction == "forward" else xform._INVERSE
     results = {}
@@ -147,32 +133,20 @@ def _cmd_transform(args) -> int:
         written = results["fast"]
     else:
         written = results[args.path]
-    try:
-        fields_io.write_field_csv(written, args.out)
-    except OSError as exc:
-        return _output_error(exc)
+    fields_io.write_field_csv(written, args.out)
     print(f"wrote {written.grid.shape[0]}x{written.grid.shape[1]} field -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_kernel(args) -> int:
-    try:
-        grid = _parse_grid_spec(args.grid)
-        X, Y = grid.p_axis.values[:, None], grid.q_axis.values[None, :]
-        closed = closedform.frft_kernel(args.alpha, X, Y)
-        vals = (closedform.frft_kernel_hermite(args.alpha, X, Y, args.terms)
-                if args.method == "hermite" else closed)
-    except ValueError as exc:
-        print(f"kernel error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    grid = _parse_grid_spec(args.grid)
+    X, Y = grid.p_axis.values[:, None], grid.q_axis.values[None, :]
+    vals = closed = closedform.frft_kernel(args.alpha, X, Y)
     if args.method == "hermite":
+        vals = closedform.frft_kernel_hermite(args.alpha, X, Y, args.terms)
         print(f"max |series - closed| = {np.abs(vals - closed).max():.3e} "
               f"({args.terms} terms)")
-    try:
-        fields_io.write_field_csv(SampledField(grid, vals), args.out)
-    except OSError as exc:
-        return _output_error(exc)
+    fields_io.write_field_csv(SampledField(grid, vals), args.out)
     print(f"wrote kernel samples (alpha={args.alpha:g}, method={args.method}) -> {args.out}")
     return EXIT_OK
 
@@ -185,7 +159,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0,) else 0
     handlers = {"verify": _cmd_verify, "transform": _cmd_transform, "kernel": _cmd_kernel}
-    return handlers[args.command](args)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return handlers[args.command](args)
+    except (OSError, ValueError, FloatingPointError) as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

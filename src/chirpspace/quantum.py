@@ -257,7 +257,8 @@ def _mixed_grid(H: OperatorKernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     ax = H.axis
     ys = np.asarray(ys, dtype=float)
     _check_within(ax, ys.min(), ys.max(), "y", "kernel axis")
-    iy = np.round((ys - ax.min) / ax.step).astype(int)
+    i, s = ax.cell(ys)
+    iy = i + (s > 0.5)
     return _dense_fourier(ax, H.values[:, iy], xs)
 
 

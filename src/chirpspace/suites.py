@@ -236,6 +236,15 @@ def suite_parseval(cfg: RunConfig) -> list[CaseResult]:
 
 
 def suite_gaussian(cfg: RunConfig) -> list[CaseResult]:
+    """Each tolerance is 100x the worst residual (the cases take no config),
+    rounded up to a power of ten, with a floor of 1e-13; the residuals are the
+    same with the default BLAS threads and with one thread:
+
+        case               residual   tolerance
+        gaussian-lam-0.5   7.4e-16    1e-13
+        gaussian-lam-1     3.2e-16    1e-13
+        gaussian-lam-2     3.6e-16    1e-13
+    """
     grid = _square_grid(8.0, 161)
     out = _square_grid(2.0, 9)
     X, Y = out.meshes()
@@ -247,7 +256,7 @@ def suite_gaussian(cfg: RunConfig) -> list[CaseResult]:
             num = xform.forward_direct(h, out).values
             ref = closedform.gaussian_transform_closed(lam, X, Y)
             return np.abs(num - ref).max() / np.abs(ref).max()
-        cases.append(_case(cfg, f"gaussian-lam-{lam:g}", label, 1e-6, run))
+        cases.append(_case(cfg, f"gaussian-lam-{lam:g}", label, 1e-13, run))
     return cases
 
 
@@ -331,6 +340,14 @@ def _weyl_test_symbol(P, Q):
 
 
 def suite_weyl(cfg: RunConfig) -> list[CaseResult]:
+    """Each tolerance is 100x the worst residual (the cases take no config),
+    rounded up to a power of ten; residuals with the default BLAS threads and
+    with one thread:
+
+        case             residual               tolerance
+        weyl-roundtrip   4.712e-15, 4.714e-15   1e-12
+        weyl-spectral    1.662e-15, 1.664e-15   1e-12
+    """
     sym_grid = PhaseGrid(make_axis(-8.0, 8.0, 161), make_axis(-9.0, 9.0, 289))
     op_axis = make_axis(-9.0, 9.0, 145)      # step 1/8, midpoints land on 1/16
     out = PhaseGrid(make_axis(-6.0, 6.0, 97), make_axis(-6.0, 6.0, 97))
@@ -351,9 +368,9 @@ def suite_weyl(cfg: RunConfig) -> list[CaseResult]:
 
     return [
         _case(cfg, "weyl-roundtrip",
-              "symbol -> operator -> symbol is the identity", 1e-6, run_roundtrip),
+              "symbol -> operator -> symbol is the identity", 1e-12, run_roundtrip),
         _case(cfg, "weyl-spectral",
-              "oscillator exponential quantizes to its eigenbasis kernel", 1e-6, run_spectral),
+              "oscillator exponential quantizes to its eigenbasis kernel", 1e-12, run_spectral),
     ]
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import platform
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chirpspace import closedform, hermite_functions, quantum, read_field_csv, suites
@@ -151,6 +153,24 @@ class TestVerifyCommand:
         monkeypatch.setattr(quantum, mutated, lambda *a: exact(*a) * (1 + 1e-7))
         assert run_cli("verify", "charfun", "--out", str(tmp_path)) == 1
         cases = load_strict_json(tmp_path / "report-charfun.json")["cases"]
+        assert {c["name"] for c in cases if not c["pass"]} == caught
+        assert all(c["error"] is None for c in cases)
+
+    @pytest.mark.parametrize("suite, module, mutated, scale, caught", [
+        ("gaussian", closedform, "gaussian_transform_closed", lambda r: r * (1 + 1e-7),
+         {"gaussian-lam-0.5", "gaussian-lam-1", "gaussian-lam-2"}),
+        ("weyl", quantum, "weyl_quantize",
+         lambda K: quantum.OperatorKernel(K.axis, K.values * (1 + 1e-7)),
+         {"weyl-roundtrip", "weyl-spectral"}),
+    ])
+    def test_gaussian_and_weyl_cases_catch_a_relative_error_of_1e7(
+            self, tmp_path, monkeypatch, suite, module, mutated, scale, caught):
+        # mutation analysis: the closed-form Gaussian image, or the Weyl
+        # quantization, off by one part in 10^7 fails every case that reads it
+        exact = getattr(module, mutated)
+        monkeypatch.setattr(module, mutated, lambda *a: scale(exact(*a)))
+        assert run_cli("verify", suite, "--out", str(tmp_path)) == 1
+        cases = load_strict_json(tmp_path / f"report-{suite}.json")["cases"]
         assert {c["name"] for c in cases if not c["pass"]} == caught
         assert all(c["error"] is None for c in cases)
 
@@ -307,7 +327,7 @@ class TestTransformCommand:
                        "--path", "fast", "--grid=-1,1,4;-1,1,4",
                        "--out", str(tmp_path / "o.csv"))
         assert code == 2
-        assert "input error" in capsys.readouterr().err
+        assert "empty file" in capsys.readouterr().err
 
     def test_bad_grid_spec_is_usage_error(self, tmp_path, rng):
         _, inpath = self.write_input(tmp_path, rng)
@@ -370,6 +390,12 @@ def _file_in_missing_dir(tmp_path):
     return str(tmp_path / "missing" / "out.csv")
 
 
+def _overflowing_field_file(tmp_path):
+    path = tmp_path / "big.csv"
+    write_field_csv(SampledField(square_grid(1, 4), np.full((4, 4), 1e308, complex)), path)
+    return str(path)
+
+
 def _existing_file(tmp_path):
     path = tmp_path / "taken"
     path.write_text("")
@@ -420,6 +446,12 @@ class TestUsageErrors:
         ("verify", "gaussian", "--config", {"out_dir": "a\u0000b"}),
         ("verify", "chirplet-kernel", "--alpha", "-1.0"),
         ("verify", "chirplet-kernel", "--alpha", "4.0"),
+        ("transform", "--in", _overflowing_field_file, "--direction", "forward",
+         "--path", "fast", "--grid=-1,1,4;-1,1,4", "--out", lambda tmp: str(tmp / "f.csv")),
+        ("transform", "--in", _overflowing_field_file, "--direction", "forward",
+         "--path", "direct", "--grid=-1,1,4;-1,1,4", "--out", lambda tmp: str(tmp / "f.csv")),
+        ("kernel", "--alpha", "1.0", "--grid=-1e300,1e300,4;-1,1,4",
+         "--out", lambda tmp: str(tmp / "k.csv")),
     ], ids=["config-list", "config-str-int", "config-scalar-list",
             "config-list-dict", "config-nan-epsilon", "config-inf-alpha",
             "config-int-out-dir", "config-negative-seed", "config-negative-damp",
@@ -432,7 +464,8 @@ class TestUsageErrors:
             "kernel-out-missing-dir", "verify-out-is-a-file", "config-dunder-dict",
             "config-dunder-weakref", "config-dunder-doc", "config-method-name",
             "config-int-beyond-float", "config-out-dir-null-byte", "alpha-negative-sine",
-            "alpha-negative-sine-4"])
+            "alpha-negative-sine-4", "transform-fast-overflow", "transform-direct-overflow",
+            "kernel-result-overflow"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
         args = []
         for a in argv:
@@ -487,6 +520,98 @@ class TestRunConfigFromFile:
             except ValueError:
                 return
         cfg.validate()
+
+
+# axis bounds near and beyond the float range; every grid n and --terms stays
+# at a few dozen, so no example allocates a large array
+EXTREMES = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 1e300, -1e-300, 5e-324])
+BOUNDS = st.floats() | EXTREMES
+MODERATE_AXIS_SPECS = st.builds(lambda b, n: f"{min(b)!r},{max(b)!r},{n}",
+                                st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+                                st.integers(2, 24))
+AXIS_SPECS = (
+    st.builds(lambda lo, hi, n: f"{lo!r},{hi!r},{n}", BOUNDS, BOUNDS, st.integers(-1, 24))
+    | st.builds(lambda e, n: f"{-e!r},{e!r},{n}",
+                st.floats(1e-300, 1.7976931348623157e308), st.integers(2, 24))
+    | MODERATE_AXIS_SPECS)
+GRID_SPECS = (st.builds(lambda a, b: f"{a};{b}", AXIS_SPECS, AXIS_SPECS)
+              | st.builds(lambda a, b: f"{a};{b}", MODERATE_AXIS_SPECS, MODERATE_AXIS_SPECS)
+              # at 12 characters a parsable spec holds at most 99 x 9 points
+              | st.text(alphabet="0123456789,;.-e", max_size=12))
+# per example, the CSV cells are all moderate, all finite, or anything
+CELL_KINDS = st.sampled_from([st.floats(-1e3, 1e3),
+                              st.floats(allow_nan=False, allow_infinity=False),
+                              BOUNDS])
+PLAUSIBLE_CONFIGS = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(-3, 2**70),
+    "alphas": st.lists(st.floats(0.2, 2.9) | BOUNDS, max_size=3),
+    "tolerance_overrides": st.dictionaries(
+        st.sampled_from(["gaussian-lam-0.5", "gaussian-lam-1", "other"]),
+        st.floats(0, 1e-15) | NUMBERS, max_size=2),
+    "out_dir": st.text(max_size=8),
+})
+
+
+def run_captured(argv):
+    """``main``'s exit code and stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err.strip().splitlines()) == 1, err
+
+
+class TestCliFuzz:
+    """Any argv that argparse accepts exits 0, 1 or 2, and exit 2 prints one
+    stderr line.  Values go in as ``--flag=value``: a bare ``-1e+300`` reads
+    to argparse as an unknown flag, a two-line usage error."""
+
+    @settings(max_examples=60)
+    @given(raw=PLAUSIBLE_CONFIGS
+           | st.dictionaries(CONFIG_KEYS, FIELD_VALUES | JSON_VALUES, max_size=5)
+           | JSON_VALUES,
+           alphas=st.lists(st.floats(0.2, 2.9) | BOUNDS, max_size=2))
+    def test_verify_config(self, raw, alphas):
+        # gaussian is the cheapest suite; --out keeps a fuzzed out_dir unused
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+            argv = ["verify", "gaussian", f"--config={cfg}", f"--out={tmp}/out"]
+            assert_exit_contract(*run_captured(argv + [f"--alpha={a!r}" for a in alphas]))
+
+    @settings(max_examples=80)
+    @given(extent=st.sampled_from([1.0, 3.0, 1e150, 1e300]), n=st.integers(2, 6),
+           cells=CELL_KINDS, data=st.data(), direction=st.sampled_from(["forward", "inverse"]),
+           path=st.sampled_from(["direct", "fast", "both"]), grid=GRID_SPECS)
+    def test_transform(self, extent, n, cells, data, direction, path, grid):
+        axis = np.linspace(-extent, extent, n).tolist()
+        rows = [f"{p!r},{q!r},{data.draw(cells)!r},{data.draw(cells)!r}"
+                for p in axis for q in axis]
+        with tempfile.TemporaryDirectory() as tmp:
+            infile = Path(tmp) / "in.csv"
+            infile.write_text("\n".join(["p,q,re,im"] + rows) + "\n")
+            assert_exit_contract(*run_captured([
+                "transform", f"--in={infile}", f"--direction={direction}",
+                f"--path={path}", f"--grid={grid}", f"--out={tmp}/out.csv"]))
+
+    @settings(max_examples=80)
+    @given(alpha=BOUNDS | st.floats(-4, 4)
+           | st.builds(lambda k, d: k * np.pi + d, st.integers(-3, 3),
+                       st.sampled_from([0.0, 1e-12, -1e-3, 0.1])),
+           method=st.sampled_from(["closed", "hermite"]), terms=st.integers(-2, 40),
+           grid=GRID_SPECS)
+    # the series' phases e^{-i alpha n} overflow at a huge angle
+    @example(alpha=1e308, method="hermite", terms=3, grid="-1,1,2;-1,1,2")
+    def test_kernel(self, alpha, method, terms, grid):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_exit_contract(*run_captured([
+                "kernel", f"--alpha={alpha!r}", f"--method={method}", f"--terms={terms}",
+                f"--grid={grid}", f"--out={tmp}/k.csv"]))
 
 
 class TestSubprocessEntry:
