@@ -13,8 +13,9 @@ Exit codes: 0 success / all checks passed, 1 verification failure,
 or a transform or kernel whose result leaves the float range.  Besides
 argparse's own usage errors, exit 2 is decided in one place: ``main`` runs
 each command under ``np.errstate(..., "raise")`` and turns an ``OSError``,
-``ValueError`` or ``FloatingPointError`` into one stderr line.  Inside
-``verify`` a case catches its own errors and fails (exit 1).
+``ValueError`` or ``FloatingPointError`` (named as a result that leaves
+the float range) into one stderr line.  Inside ``verify`` a case catches
+its own errors and fails (exit 1).
 Angles are radians.
 """
 from __future__ import annotations
@@ -163,6 +164,8 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return handlers[args.command](args)
     except (OSError, ValueError, FloatingPointError) as exc:
+        if isinstance(exc, FloatingPointError):
+            exc = f"the result leaves the float range ({exc})"
         print(f"{args.command} error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

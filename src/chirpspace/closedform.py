@@ -30,11 +30,11 @@ kernel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .grid import PhaseGrid, SampledField
 from .hermite import hermite_functions
@@ -147,10 +147,10 @@ _TAPER_SLOPE = 8.8
 
 def _taper(n_terms: int) -> np.ndarray:
     nmax = n_terms - 1
-    n = np.arange(n_terms)
     n0 = int(_TAPER_KEEP * nmax)
     s = max((nmax - n0) / _TAPER_SLOPE, 1e-9)
-    return np.where(n < n0, 1.0, 0.5 * erfc((n - (n0 + nmax) / 2.0) / s))
+    return np.array([1.0 if k < n0 else 0.5 * math.erfc((k - (n0 + nmax) / 2.0) / s)
+                     for k in range(n_terms)])
 
 
 def frft_kernel_hermite(alpha: float, x, y, n_terms: int):

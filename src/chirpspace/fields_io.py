@@ -76,10 +76,11 @@ def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
 def _reject(fh, path) -> None:
     """Raise the error for a body numpy rejected, or one with a non-finite
     coordinate, naming its first bad line (numpy's own row numbers are not
-    file lines)."""
+    file lines).  The body is read again one line at a time, up to that line."""
     fh.seek(0)
-    rows = [(n, line.split(",")) for n, line in enumerate(fh.read().split("\n"), 1)
-            if n > 1 and line]
+    rows = ((n, line.rstrip("\n").split(",")) for n, line in enumerate(fh, 1)
+            if n > 1 and line != "\n")
+    lineno = 0  # the last row read, 0 for none
     for lineno, cells in rows:
         try:
             if len(cells) != 4:
@@ -90,7 +91,7 @@ def _reject(fh, path) -> None:
         except ValueError as err:
             raise CsvFormatError(f"{path}: line {lineno}: {err}") from None
     # no rows, or only cells that Python's float accepts and numpy does not (e.g. "1_0")
-    what = "a cell is not a plain decimal number" if rows else "no data rows"
+    what = "a cell is not a plain decimal number" if lineno else "no data rows"
     raise CsvFormatError(f"{path}: {what}")
 
 
@@ -106,11 +107,10 @@ def _axes_from_columns(c1: np.ndarray, c2: np.ndarray, path) -> tuple[Axis, Axis
     v2 = c2[:n2]
     if n1 < 2 or n2 < 2:
         raise CsvFormatError(f"{path}: grid must be at least 2x2, got {n1}x{n2}")
-    grid1 = np.repeat(v1, n2)
-    grid2 = np.tile(v2, n1)
-    if not (np.allclose(grid1, c1, rtol=0, atol=1e-12 * max(1, np.abs(v1).max()))
-            and np.allclose(grid2, c2, rtol=0, atol=1e-12 * max(1, np.abs(v2).max()))):
-        raise CsvFormatError(f"{path}: coordinates do not form a row-major tensor grid")
+    # each coordinate column against its axis, broadcast along the other axis
+    for c, v in ((c1.reshape(n1, n2), v1[:, None]), (c2.reshape(n1, n2), v2)):
+        if np.abs(c - v).max() > 1e-12 * max(1, np.abs(v).max()):
+            raise CsvFormatError(f"{path}: coordinates do not form a row-major tensor grid")
 
     def to_axis(v, name):
         steps = np.diff(v)

@@ -8,8 +8,10 @@ Conventions used throughout the package:
   argument, outer/row index) and a position-like axis (second argument,
   inner/column index), stored row-major;
 * every integral over an axis or a grid is the trapezoid rule, read from
-  ``Axis.weights`` or ``PhaseGrid.weights`` (step included); the weighted
-  squared norm of a field h is ``(1/pi) * integral |h(p,q)|^2 dp dq``.
+  ``Axis.weights`` (step included), the one quadrature rule; a grid's rule is
+  the product of its axes' rules, applied one axis at a time, so no n_p x n_q
+  weight array is built.  The weighted squared norm of a field h is
+  ``(1/pi) * integral |h(p,q)|^2 dp dq``.
 """
 from __future__ import annotations
 
@@ -117,11 +119,6 @@ class PhaseGrid:
         """(P, Q) coordinate arrays of shape (n_p, n_q)."""
         return np.meshgrid(self.p_axis.values, self.q_axis.values, indexing="ij")
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Trapezoid weights of the grid, the outer product of the axes' weights."""
-        return np.outer(self.p_axis.weights, self.q_axis.weights)
-
 
 def _check_values(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=complex)
@@ -177,4 +174,4 @@ def sample_field(fn: Callable, grid: PhaseGrid) -> SampledField:
 
 def weighted_norm_sq(h: SampledField) -> float:
     """Trapezoid approximation of (1/pi) * iint |h(p,q)|^2 dp dq."""
-    return float(np.sum(np.abs(h.values) ** 2 * h.grid.weights) / np.pi)
+    return float(h.grid.p_axis.weights @ np.abs(h.values) ** 2 @ h.grid.q_axis.weights / np.pi)

@@ -410,15 +410,16 @@ def _zmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _project_density(rho: OperatorKernel, basis: HermiteBasis) -> tuple[np.ndarray, float]:
-    """The basis matrix R = B (rho w w^T) B^T of rho, B the basis table, and its
-    projection residual |rho - B^T R B| / |rho| (Frobenius), which must not
-    exceed DENSITY_TOL.  Every product and norm runs on scipy's BLAS (see the
-    module docstring)."""
+    """The basis matrix R = (B w) rho (B w)^T of rho, B the basis table and w
+    the axis's trapezoid weights scaling its columns, and the projection
+    residual |rho - B^T R B| / |rho| (Frobenius), which must not exceed
+    DENSITY_TOL.  Every product and norm runs on scipy's BLAS (see the module
+    docstring)."""
     if rho.axis != basis.axis:
         raise ValueError("density operator must be sampled on the basis axis")
-    w = basis.axis.weights
     table = basis.table.astype(complex)
-    R = _zmm(_zmm(table, rho.values * np.outer(w, w)), table.T)
+    tw = table * basis.axis.weights
+    R = _zmm(_zmm(tw, rho.values), tw.T)
     recon = _zmm(_zmm(table.T, R), table)
     denom = dznrm2(rho.values.ravel())
     resid = dznrm2((rho.values - recon).ravel(order="K")) / denom if denom > 0 else 0.0

@@ -47,14 +47,10 @@ __all__ = [
 ]
 
 
-def _check_field(h: SampledField) -> None:
-    if not isinstance(h, SampledField):
-        raise TypeError(f"expected SampledField, got {type(h).__name__}")
-
-
-def _check_grid(out: PhaseGrid) -> None:
-    if not isinstance(out, PhaseGrid):
-        raise TypeError(f"expected PhaseGrid, got {type(out).__name__}")
+def _check_args(h: SampledField, out: PhaseGrid) -> None:
+    for arg, cls in ((h, SampledField), (out, PhaseGrid)):
+        if not isinstance(arg, cls):
+            raise TypeError(f"expected {cls.__name__}, got {type(arg).__name__}")
 
 
 def _fourier_resample(arr: np.ndarray, src: Axis, dst: Axis, axis: int, sign: int) -> np.ndarray:
@@ -80,8 +76,7 @@ def _chirp(a: Axis, b: Axis, sign: int, row=1.0) -> np.ndarray:
 
 def _fast(h: SampledField, out: PhaseGrid, sign: int) -> SampledField:
     """The fast path for the kernel exp(2i sign (p - x)(q - y))."""
-    _check_field(h)
-    _check_grid(out)
+    _check_args(h, out)
     p, q = h.grid.p_axis, h.grid.q_axis
     x, y = out.p_axis, out.q_axis
     g = _chirp(p, q, sign, p.weights / np.pi)
@@ -106,13 +101,13 @@ def forward_direct(h: SampledField, out: PhaseGrid) -> SampledField:
     Same discrete sum as the fast path (only the floating-point contraction
     order differs); no FFT machinery, so it serves as the oracle for it.
     """
-    _check_field(h)
-    _check_grid(out)
+    _check_args(h, out)
     p = h.grid.p_axis.values
     q = h.grid.q_axis.values
     xs = out.p_axis.values
     ys = out.q_axis.values
-    g = h.values * h.grid.weights
+    g = h.values * h.grid.q_axis.weights
+    g *= h.grid.p_axis.weights[:, None]
     vals = np.empty((len(xs), len(ys)), dtype=complex)
     for b, y in enumerate(ys):
         qy = q - y
@@ -128,7 +123,7 @@ def inverse_fast(f: SampledField, out: PhaseGrid) -> SampledField:
 
 def inverse_direct(f: SampledField, out: PhaseGrid) -> SampledField:
     """Inverse transform, direct quadrature: the conjugate kernel as conj(T[conj(f)])."""
-    _check_field(f)
+    _check_args(f, out)
     res = forward_direct(SampledField(f.grid, np.conj(f.values)), out)
     return SampledField(out, np.conj(res.values))
 

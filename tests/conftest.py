@@ -18,7 +18,7 @@ from scipy.interpolate import RegularGridInterpolator
 import chirpspace
 from chirpspace import Axis, PhaseGrid, SampledField, make_axis, trapezoid_weights
 from chirpspace.suites import _gaussian_poly_field as gaussian_poly_field  # noqa: F401
-from chirpspace.xform import _check_field, _check_grid
+from chirpspace.xform import _check_args
 
 
 @pytest.fixture
@@ -126,8 +126,7 @@ def forward_shifted_form(h: SampledField, out: PhaseGrid) -> SampledField:
     interpolation-limited and tightens quadratically under grid refinement.
     This is a consistency check, not a performance path.
     """
-    _check_field(h)
-    _check_grid(out)
+    _check_args(h, out)
     ax_p, ax_q = h.grid.p_axis, h.grid.q_axis
     xs = out.p_axis.values
     ys = out.q_axis.values
@@ -142,7 +141,8 @@ def forward_shifted_form(h: SampledField, out: PhaseGrid) -> SampledField:
     lattice = PhaseGrid(Axis(lo_p, lo_p + ax_p.step * (n_p - 1), n_p),
                         Axis(lo_q, lo_q + 2.0 * ax_q.step * (n_q - 1), n_q))
     p_int, q_int = lattice.p_axis.values, lattice.q_axis.values
-    kern = np.exp(1j * np.outer(p_int, q_int)) * lattice.weights
+    kern = np.exp(1j * np.outer(p_int, q_int)) * lattice.q_axis.weights
+    kern *= lattice.p_axis.weights[:, None]
     vals = np.empty((len(xs), len(ys)), dtype=complex)
     for a, x in enumerate(xs):
         h_x = _read_zero_beyond(h.values.T, ax_p, p_int + x).T   # (n_p, h's n_q)

@@ -174,6 +174,18 @@ class TestVerifyCommand:
         assert {c["name"] for c in cases if not c["pass"]} == caught
         assert all(c["error"] is None for c in cases)
 
+    def test_hermite_oracle_cases_catch_a_relative_error_of_1e7(self, tmp_path, monkeypatch):
+        # mutation analysis: the eigenfunction series off by one part in 10^7
+        # fails every case, the composition too
+        exact = closedform.frft_kernel_hermite
+        monkeypatch.setattr(closedform, "frft_kernel_hermite",
+                            lambda *a: exact(*a) * (1 + 1e-7))
+        assert run_cli("verify", "hermite-oracle", "--out", str(tmp_path)) == 1
+        cases = load_strict_json(tmp_path / "report-hermite-oracle.json")["cases"]
+        assert len(cases) == 6
+        assert not any(c["pass"] for c in cases)
+        assert all(c["error"] is None for c in cases)
+
     def test_report_records_its_environment(self, tmp_path, monkeypatch):
         # recorded, not applied: OpenBLAS read its setting when it loaded
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -402,6 +414,38 @@ def _existing_file(tmp_path):
     return str(path)
 
 
+# the result of a valid input leaves the float range
+RESULT_OVERFLOWS = {
+    "transform-fast-overflow": (
+        "transform", "--in", _overflowing_field_file, "--direction", "forward",
+        "--path", "fast", "--grid=-1,1,4;-1,1,4", "--out", lambda tmp: str(tmp / "f.csv")),
+    "transform-direct-overflow": (
+        "transform", "--in", _overflowing_field_file, "--direction", "forward",
+        "--path", "direct", "--grid=-1,1,4;-1,1,4", "--out", lambda tmp: str(tmp / "f.csv")),
+    "kernel-result-overflow": (
+        "kernel", "--alpha", "1.0", "--grid=-1e300,1e300,4;-1,1,4",
+        "--out", lambda tmp: str(tmp / "k.csv")),
+}
+
+
+def run_row(tmp_path, argv):
+    """Run one usage-error row: a callable argument is given the temporary
+    directory, and a non-string one is written there as the JSON config."""
+    args = []
+    for a in argv:
+        if callable(a):
+            a = a(tmp_path)
+        elif not isinstance(a, str):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(a))
+            a = str(cfg)
+        args.append(a)
+    # a config that names out_dir is tested with it, not with --out
+    if "--out" not in args and not any(isinstance(a, dict) and "out_dir" in a for a in argv):
+        args += ["--out", str(tmp_path / "out")]
+    return run_cli(*args)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("verify", "gaussian", "--config", [1, 2]),
@@ -446,12 +490,7 @@ class TestUsageErrors:
         ("verify", "gaussian", "--config", {"out_dir": "a\u0000b"}),
         ("verify", "chirplet-kernel", "--alpha", "-1.0"),
         ("verify", "chirplet-kernel", "--alpha", "4.0"),
-        ("transform", "--in", _overflowing_field_file, "--direction", "forward",
-         "--path", "fast", "--grid=-1,1,4;-1,1,4", "--out", lambda tmp: str(tmp / "f.csv")),
-        ("transform", "--in", _overflowing_field_file, "--direction", "forward",
-         "--path", "direct", "--grid=-1,1,4;-1,1,4", "--out", lambda tmp: str(tmp / "f.csv")),
-        ("kernel", "--alpha", "1.0", "--grid=-1e300,1e300,4;-1,1,4",
-         "--out", lambda tmp: str(tmp / "k.csv")),
+        *RESULT_OVERFLOWS.values(),
     ], ids=["config-list", "config-str-int", "config-scalar-list",
             "config-list-dict", "config-nan-epsilon", "config-inf-alpha",
             "config-int-out-dir", "config-negative-seed", "config-negative-damp",
@@ -464,25 +503,16 @@ class TestUsageErrors:
             "kernel-out-missing-dir", "verify-out-is-a-file", "config-dunder-dict",
             "config-dunder-weakref", "config-dunder-doc", "config-method-name",
             "config-int-beyond-float", "config-out-dir-null-byte", "alpha-negative-sine",
-            "alpha-negative-sine-4", "transform-fast-overflow", "transform-direct-overflow",
-            "kernel-result-overflow"])
+            "alpha-negative-sine-4", *RESULT_OVERFLOWS])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
-        args = []
-        for a in argv:
-            if callable(a):
-                a = a(tmp_path)
-            elif not isinstance(a, str):
-                cfg = tmp_path / "cfg.json"
-                cfg.write_text(json.dumps(a))
-                a = str(cfg)
-            args.append(a)
-        # a config that names out_dir is tested with it, not with --out
-        if "--out" not in args and not any(isinstance(a, dict) and "out_dir" in a
-                                           for a in argv):
-            args += ["--out", str(tmp_path / "out")]
-        assert run_cli(*args) == 2
+        assert run_row(tmp_path, argv) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", RESULT_OVERFLOWS.values(), ids=RESULT_OVERFLOWS)
+    def test_overflow_names_the_float_range(self, tmp_path, capsys, argv):
+        assert run_row(tmp_path, argv) == 2
+        assert ": the result leaves the float range (" in capsys.readouterr().err
 
     def test_removed_epsilon_flag(self, tmp_path, capsys):
         # the damping ladder is fixed in the suite; argparse reports the flag

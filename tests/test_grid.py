@@ -114,13 +114,6 @@ class TestTrapezoid:
         ax = make_axis(0.5, 3.0, 11)
         assert np.sum(ax.weights * (2 * ax.values + 1)) == pytest.approx(11.25, rel=1e-14)
 
-    def test_grid_weights_are_the_outer_product(self):
-        grid = PhaseGrid(make_axis(-1, 2, 4), make_axis(0, 1, 3))
-        assert grid.weights.shape == grid.shape
-        assert np.array_equal(grid.weights,
-                              np.outer(grid.p_axis.weights, grid.q_axis.weights))
-        assert np.sum(grid.weights) == pytest.approx(3.0, rel=1e-14)
-
 
 class TestSampleField:
     def test_constant(self):
@@ -151,6 +144,13 @@ class TestWeightedNorm:
     def test_zero_field(self):
         grid = square_grid(2, 16)
         assert weighted_norm_sq(SampledField(grid, np.zeros(grid.shape))) == 0.0
+
+    def test_rectangular_grid_integrates_a_linear_density_exactly(self):
+        # |h|^2 = p + 2 on [-1, 2] x [0, 1]: each axis's weights on its own axis
+        grid = PhaseGrid(make_axis(-1, 2, 4), make_axis(0, 1, 3))
+        P, _ = grid.meshes()
+        h = SampledField(grid, np.sqrt(P + 2))
+        assert weighted_norm_sq(h) == pytest.approx(7.5 / np.pi, rel=1e-14)
 
     def test_gaussian_half_width(self):
         grid = square_grid(8, 256)

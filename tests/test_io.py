@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,21 @@ class TestCsvReaderEdgeCases:
         path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + ROWS_2x2.replace("7,8", '"7",8'))
         with pytest.raises(CsvFormatError, match="line 5"):
             read_field_csv(path)
+
+    def test_bad_last_cell_is_named_within_the_file_size(self, tmp_path, rng):
+        # the error scan stops at the first bad line and holds one line at a time
+        path = tmp_path / "f.csv"
+        write_field_csv(gaussian_poly_field(square_grid(3, 201), rng), path)
+        good = path.read_bytes()
+        path.write_bytes(good[:good.rindex(b",") + 1] + b"oops\r\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CsvFormatError, match=f"line {201**2 + 1}: could not convert"):
+                read_field_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     def test_exact_bytes_of_a_2x2_write(self, tmp_path):
         vals = np.array([[1 / 3, -2.5 + 1e-20j], [0.1 - 0.2j, 1e300]])

@@ -616,9 +616,9 @@ class TestCharFunctions:
         # the reference for its values and for the residual it checks
         rho, basis = self.density(state), self.basis()
         R, resid = _project_density(rho, basis)
-        w = CHAR_AXIS.weights
         table = basis.table
-        ref = table @ (rho.values * np.outer(w, w)) @ table.T
+        tw = table * CHAR_AXIS.weights
+        ref = tw @ rho.values @ tw.T
         assert np.abs(R - ref).max() < 1e-15
         ref_resid = (np.linalg.norm(rho.values - table.T @ ref @ table)
                      / np.linalg.norm(rho.values))

@@ -71,6 +71,18 @@ class TestOracleEquivalence:
         f = inverse_fast(h, grid).values
         assert np.abs(f - d).max() < 1e-8
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 8: scipy.signal.czt raises its rounded w to the power "
+               "k^2/2, so the fast path misses by 9.5e-12 of max|f| here; an "
+               "exact-phase chirp-z on numpy.fft meets 1e-12")
+    def test_fast_vs_direct_801_within_1e12(self, rng):
+        h = gaussian_poly_field(square_grid(25, 801), rng)
+        out = PhaseGrid(make_axis(-25, 25, 801), make_axis(-2, 2, 9))
+        d = forward_direct(h, out).values
+        f = forward_fast(h, out).values
+        assert np.abs(f - d).max() < 1e-12 * np.abs(d).max()
+
 
 class TestClosedFormImages:
     def test_gaussian_image_matches_closed_form(self):
