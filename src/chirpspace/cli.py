@@ -1,20 +1,20 @@
 """Command-line front end.
 
-    chirpspace verify <suite> [--config FILE] [--alpha A]... [--out DIR]
+    chirpspace verify <suite> [--config FILE] [--out DIR]
     chirpspace transform --in FILE --direction D --path P --grid "min,max,n;min,max,n" --out FILE
     chirpspace kernel --alpha A --grid "min,max,n;min,max,n" --method M --out FILE
 
-The verify config (a JSON file, then flags) chooses four things: the seed,
-the chirplet angles, tolerance overrides and the output directory.  Every
-suite's grids and the chirplet damping ladder are fixed.
+The verify config file is the one place for the seed, the chirplet angles
+and tolerance overrides, and ``--out`` the one place for the report
+directory.  Every suite's grids and the chirplet damping ladder are fixed.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 usage, config, or input parse errors, an output that cannot be written,
-or a transform or kernel whose result leaves the float range.  Besides
-argparse's own usage errors, exit 2 is decided in one place: ``main`` runs
-each command under ``np.errstate(..., "raise")`` and turns an ``OSError``,
-``ValueError`` or ``FloatingPointError`` (named as a result that leaves
-the float range) into one stderr line.  Inside ``verify`` a case catches
+a grid too large to allocate, or a transform or kernel whose result leaves
+the float range.  Besides argparse's own usage errors, exit 2 is decided in
+one place: ``main`` runs each command under ``np.errstate(..., "raise")``
+and turns an ``OSError``, ``ValueError``, ``MemoryError`` or
+``FloatingPointError`` into one stderr line.  Inside ``verify`` a case catches
 its own errors and fails (exit 1).
 Angles are radians.
 """
@@ -65,14 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser(
         "verify", help="run a named verification suite",
-        description="The config (--config, --alpha, --out) chooses four things: the seed, "
-                    "the chirplet angles, tolerance overrides and the output directory; "
-                    "every suite's grids and the chirplet damping ladder are fixed.")
+        description="The JSON config file chooses the seed, the chirplet angles (alphas, "
+                    "radians) and tolerance overrides; --out chooses the report directory. "
+                    "Every suite's grids and the chirplet damping ladder are fixed.")
     pv.add_argument("suite", choices=sorted(SUITE_NAMES))
     pv.add_argument("--config", help="JSON config file")
-    pv.add_argument("--alpha", action="append", type=float, default=None,
-                    help="override the chirplet-identity angle list (repeatable, radians)")
-    pv.add_argument("--out", default=None, help="report output directory")
+    pv.add_argument("--out", default=".", help="report output directory (default: .)")
 
     pt = sub.add_parser("transform", help="transform a field file")
     pt.add_argument("--in", dest="infile", required=True)
@@ -82,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--out", required=True)
 
     pk = sub.add_parser("kernel", help="write fractional-Fourier kernel samples")
-    pk.add_argument("--alpha", type=float, required=True, help="kernel angle (radians)")
+    pk.add_argument("--alpha", dest="angle", metavar="ALPHA", type=float, required=True,
+                    help="kernel angle (radians)")
     pk.add_argument("--grid", required=True, help='sample grid "min,max,n;min,max,n"')
     pk.add_argument("--method", choices=("closed", "hermite"), default="closed")
     pk.add_argument("--terms", type=int, default=1600,
@@ -93,15 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.alpha:
-        cfg.alphas = tuple(args.alpha)
-    if args.out:
-        cfg.out_dir = args.out
-    cfg.validate()
-
-    out_dir = Path(cfg.out_dir)
-    report_path = out_dir / f"report-{args.suite}.json"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    report_path = Path(args.out) / f"report-{args.suite}.json"
+    report_path.parent.mkdir(parents=True, exist_ok=True)
     report = run_suite(args.suite, cfg)
     report_path.write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -142,13 +134,13 @@ def _cmd_transform(args) -> int:
 def _cmd_kernel(args) -> int:
     grid = _parse_grid_spec(args.grid)
     X, Y = grid.p_axis.values[:, None], grid.q_axis.values[None, :]
-    vals = closed = closedform.frft_kernel(args.alpha, X, Y)
+    vals = closed = closedform.frft_kernel(args.angle, X, Y)
     if args.method == "hermite":
-        vals = closedform.frft_kernel_hermite(args.alpha, X, Y, args.terms)
+        vals = closedform.frft_kernel_hermite(args.angle, X, Y, args.terms)
         print(f"max |series - closed| = {np.abs(vals - closed).max():.3e} "
               f"({args.terms} terms)")
     fields_io.write_field_csv(SampledField(grid, vals), args.out)
-    print(f"wrote kernel samples (alpha={args.alpha:g}, method={args.method}) -> {args.out}")
+    print(f"wrote kernel samples (alpha={args.angle:g}, method={args.method}) -> {args.out}")
     return EXIT_OK
 
 
@@ -163,9 +155,11 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return handlers[args.command](args)
-    except (OSError, ValueError, FloatingPointError) as exc:
+    except (OSError, ValueError, MemoryError, FloatingPointError) as exc:
         if isinstance(exc, FloatingPointError):
             exc = f"the result leaves the float range ({exc})"
+        elif isinstance(exc, MemoryError):
+            exc = f"out of memory ({exc})"
         print(f"{args.command} error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

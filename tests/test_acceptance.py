@@ -254,12 +254,10 @@ class TestAcceptance:
             capture_output=True, text=True, timeout=600, env=package_env())
 
         cfg = tmp_path / "broken.json"
-        cfg.write_text(json.dumps(
-            {"tolerance_overrides": {"parseval-random": 1e-30},
-             "out_dir": str(tmp_path / "broken")}))
+        cfg.write_text(json.dumps({"tolerance_overrides": {"parseval-random": 1e-30}}))
         bad_run = subprocess.run(
             [sys.executable, "-m", "chirpspace", "verify", "all",
-             "--config", str(cfg)],
+             "--config", str(cfg), "--out", str(tmp_path / "broken")],
             capture_output=True, text=True, timeout=600, env=package_env())
 
         report = json.loads((tmp_path / "ok" / "report-all.json").read_text())

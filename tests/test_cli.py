@@ -15,7 +15,7 @@ import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chirpspace import closedform, hermite_functions, quantum, read_field_csv, suites
+from chirpspace import closedform, hermite_functions, quantum, read_field_csv, suites, xform
 from chirpspace import SampledField, write_field_csv
 from chirpspace.cli import _parse_grid_spec, main
 
@@ -44,18 +44,16 @@ class TestVerifyCommand:
         assert all(c["identity"] for c in report["cases"])
         assert all((c["residual"] <= c["tolerance"]) == c["pass"]
                    for c in report["cases"])
-        assert sorted(report["config_echo"]) == [
-            "alphas", "out_dir", "seed", "tolerance_overrides"]
+        assert sorted(report["config_echo"]) == ["alphas", "seed", "tolerance_overrides"]
 
     def test_unknown_suite_is_usage_error(self, tmp_path):
         assert run_cli("verify", "nonsense", "--out", str(tmp_path)) == 2
 
     def test_tolerance_override_flips_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"tolerance_overrides": {"gaussian-lam-1": 1e-30},
-             "out_dir": str(tmp_path)}))
-        assert run_cli("verify", "gaussian", "--config", str(cfg)) == 1
+        cfg.write_text(json.dumps({"tolerance_overrides": {"gaussian-lam-1": 1e-30}}))
+        assert run_cli("verify", "gaussian", "--config", str(cfg),
+                       "--out", str(tmp_path)) == 1
 
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -76,7 +74,7 @@ class TestVerifyCommand:
         ("oracle_alphas", [0.3, 1.0, 2.0]), ("hermite_n_terms", 1600),
         ("oracle_extent", 3.0), ("oracle_n", 13), ("composition_n_terms", 300),
         ("hermite_n_max", 48), ("charfun_extent", 3.0), ("charfun_n", 13),
-        ("epsilons", [0.1, 0.05, 0.02, 0.01]),
+        ("epsilons", [0.1, 0.05, 0.02, 0.01]), ("out_dir", "."),
     ])
     def test_removed_field_is_unknown(self, tmp_path, capsys, key, val):
         cfg = tmp_path / "cfg.json"
@@ -87,11 +85,15 @@ class TestVerifyCommand:
         assert len(err) == 1 and f"unknown config field {key!r}" in err[0]
 
     def test_guarded_alpha_rejected_in_config(self, tmp_path):
-        assert run_cli("verify", "chirplet-kernel", "--alpha", "3.1",
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": [3.1]}))
+        assert run_cli("verify", "chirplet-kernel", "--config", str(cfg),
                        "--out", str(tmp_path)) == 2
 
     def test_chirplet_suite_with_alpha_flag(self, tmp_path, capsys):
-        assert run_cli("verify", "chirplet-kernel", "--alpha", "1.0471975512",
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": [1.0471975512]}))
+        assert run_cli("verify", "chirplet-kernel", "--config", str(cfg),
                        "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "report-chirplet-kernel.json").read_text())
         closed = [c for c in report["cases"] if c["name"].startswith("chirplet-closed")]
@@ -115,6 +117,22 @@ class TestVerifyCommand:
         assert len(quadrature) == len(closed) == 3
         assert not any(c["pass"] for c in quadrature)
         assert all(c["pass"] for c in closed)
+
+    def test_parseval_cases_catch_a_relative_error_of_1e7(self, tmp_path, monkeypatch):
+        # mutation analysis: a fast path off by one part in 10^7 moves the
+        # squared norm by about 2e-7, and fails both cases
+        exact = xform.forward_fast
+
+        def scaled(h, out):
+            f = exact(h, out)
+            return SampledField(f.grid, f.values * (1 + 1e-7))
+
+        monkeypatch.setattr(xform, "forward_fast", scaled)
+        assert run_cli("verify", "parseval", "--out", str(tmp_path)) == 1
+        cases = load_strict_json(tmp_path / "report-parseval.json")["cases"]
+        assert {c["name"] for c in cases if not c["pass"]} == {
+            "parseval-random", "parseval-hermite-gaussian"}
+        assert all(c["error"] is None for c in cases)
 
     @pytest.mark.parametrize("mutated, caught, spared", [
         ("forward_fast", ("-qp", "n0-transform", "n1-transform"), ("-pq", "-inverse")),
@@ -203,7 +221,9 @@ class TestVerifyCommand:
 
     def test_positive_sine_outside_first_period_passes(self, tmp_path):
         # sin 7.0 = 0.657: the chirplet range is sin alpha >= 0.1, not 0 < alpha < pi
-        assert run_cli("verify", "chirplet-kernel", "--alpha", "7.0",
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": [7.0]}))
+        assert run_cli("verify", "chirplet-kernel", "--config", str(cfg),
                        "--out", str(tmp_path)) == 0
 
     def test_reports_deterministic_modulo_runtime(self, tmp_path):
@@ -214,7 +234,6 @@ class TestVerifyCommand:
             rep = json.loads(p.read_text())
             for c in rep["cases"]:
                 c["runtime_ms"] = None
-            rep["config_echo"]["out_dir"] = None
             return json.dumps(rep, sort_keys=True)
 
         assert canon(tmp_path / "a" / "report-gaussian.json") == \
@@ -427,6 +446,20 @@ RESULT_OVERFLOWS = {
         "--out", lambda tmp: str(tmp / "k.csv")),
 }
 
+# 10^17 nodes on one axis: 711 PiB for one float64 axis, more than any 64-bit
+# address space maps, so the allocation fails at once whatever the overcommit
+HUGE_GRID = "--grid=-1,1,100000000000000000;-1,1,4"
+TOO_LARGE_TO_ALLOCATE = {
+    "kernel-grid-too-large": (
+        "kernel", "--alpha", "1.0", HUGE_GRID, "--out", lambda tmp: str(tmp / "k.csv")),
+    "transform-fast-grid-too-large": (
+        "transform", "--in", _field_file, "--direction", "forward", "--path", "fast",
+        HUGE_GRID, "--out", lambda tmp: str(tmp / "f.csv")),
+    "transform-direct-grid-too-large": (
+        "transform", "--in", _field_file, "--direction", "forward", "--path", "direct",
+        HUGE_GRID, "--out", lambda tmp: str(tmp / "f.csv")),
+}
+
 
 def run_row(tmp_path, argv):
     """Run one usage-error row: a callable argument is given the temporary
@@ -440,8 +473,7 @@ def run_row(tmp_path, argv):
             cfg.write_text(json.dumps(a))
             a = str(cfg)
         args.append(a)
-    # a config that names out_dir is tested with it, not with --out
-    if "--out" not in args and not any(isinstance(a, dict) and "out_dir" in a for a in argv):
+    if "--out" not in args:
         args += ["--out", str(tmp_path / "out")]
     return run_cli(*args)
 
@@ -466,10 +498,10 @@ class TestUsageErrors:
         ("verify", "gaussian", "--config", {"tolerance_overrides": {"gaussian-lam-1": -1e-6}}),
         ("verify", "gaussian", "--config",
          {"tolerance_overrides": {"gaussian-lam-1": float("inf")}}),
-        ("verify", "chirplet-kernel", "--alpha", "nan"),
+        ("verify", "chirplet-kernel", "--config", {"alphas": [float("nan")]}),
         ("verify", "chirplet-kernel", "--config", {"alphas": []}),
-        ("verify", "chirplet-kernel", "--alpha", "1.0", "--alpha", "1.0"),
-        ("verify", "chirplet-kernel", "--alpha", "1.0", "--alpha", "1.00001"),
+        ("verify", "chirplet-kernel", "--config", {"alphas": [1.0, 1.0]}),
+        ("verify", "chirplet-kernel", "--config", {"alphas": [1.0, 1.00001]}),
         ("kernel", "--alpha", "1.0", "--method", "hermite", "--terms", "0",
          "--grid=-1,1,3;-1,1,3"),
         ("verify", "chirplet-kernel", "--config", {"epsilons": [0.1]}),
@@ -485,12 +517,14 @@ class TestUsageErrors:
         ("verify", "gaussian", "--config", {"__dict__": {}}),
         ("verify", "gaussian", "--config", {"__weakref__": None}),
         ("verify", "gaussian", "--config", {"__doc__": "x"}),
-        ("verify", "gaussian", "--config", {"validate": 1}),
+        ("verify", "gaussian", "--config", {"from_file": 1}),
         ("verify", "gaussian", "--config", {"alphas": [10**400]}),
         ("verify", "gaussian", "--config", {"out_dir": "a\u0000b"}),
-        ("verify", "chirplet-kernel", "--alpha", "-1.0"),
-        ("verify", "chirplet-kernel", "--alpha", "4.0"),
+        ("verify", "chirplet-kernel", "--config", {"alphas": [-1.0]}),
+        ("verify", "chirplet-kernel", "--config", {"alphas": [4.0]}),
+        ("verify", "gaussian", "--out", "a\u0000b"),
         *RESULT_OVERFLOWS.values(),
+        *TOO_LARGE_TO_ALLOCATE.values(),
     ], ids=["config-list", "config-str-int", "config-scalar-list",
             "config-list-dict", "config-nan-epsilon", "config-inf-alpha",
             "config-int-out-dir", "config-negative-seed", "config-negative-damp",
@@ -503,7 +537,8 @@ class TestUsageErrors:
             "kernel-out-missing-dir", "verify-out-is-a-file", "config-dunder-dict",
             "config-dunder-weakref", "config-dunder-doc", "config-method-name",
             "config-int-beyond-float", "config-out-dir-null-byte", "alpha-negative-sine",
-            "alpha-negative-sine-4", *RESULT_OVERFLOWS])
+            "alpha-negative-sine-4", "out-null-byte", *RESULT_OVERFLOWS,
+            *TOO_LARGE_TO_ALLOCATE])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
         assert run_row(tmp_path, argv) == 2
         err = capsys.readouterr().err
@@ -514,12 +549,23 @@ class TestUsageErrors:
         assert run_row(tmp_path, argv) == 2
         assert ": the result leaves the float range (" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", TOO_LARGE_TO_ALLOCATE.values(), ids=TOO_LARGE_TO_ALLOCATE)
+    def test_too_large_names_the_memory(self, tmp_path, capsys, argv):
+        assert run_row(tmp_path, argv) == 2
+        assert ": out of memory (" in capsys.readouterr().err
+
     def test_removed_epsilon_flag(self, tmp_path, capsys):
         # the damping ladder is fixed in the suite; argparse reports the flag
         # under a usage line, so the error takes two lines
         assert run_cli("verify", "chirplet-kernel", "--epsilon", "0.1",
                        "--out", str(tmp_path)) == 2
         assert "--epsilon" in capsys.readouterr().err
+
+    def test_removed_alpha_flag(self, tmp_path, capsys):
+        # the angles come from the config file only; kernel keeps its --alpha
+        assert run_cli("verify", "chirplet-kernel", "--alpha", "1.0",
+                       "--out", str(tmp_path)) == 2
+        assert "--alpha" in capsys.readouterr().err
 
 
 # JSON values of every type, integers beyond the float range included, and
@@ -534,7 +580,8 @@ FIELD_VALUES = (st.lists(NUMBERS, max_size=4)
                 | st.dictionaries(st.text(max_size=8), NUMBERS, max_size=3))
 CONFIG_KEYS = st.sampled_from(
     [f.name for f in dataclasses.fields(suites.RunConfig)]
-    + ["__dict__", "__weakref__", "__doc__", "__class__", "validate", "from_file", "to_dict"]
+    + ["__dict__", "__weakref__", "__doc__", "__class__", "__post_init__", "from_file",
+       "to_dict"]
 ) | st.text(max_size=12)
 
 
@@ -549,7 +596,26 @@ class TestRunConfigFromFile:
                 cfg = suites.RunConfig.from_file(path)
             except ValueError:
                 return
-        cfg.validate()
+        dataclasses.replace(cfg)  # runs the check again
+
+
+class TestRunConfigIsChecked:
+    @pytest.mark.parametrize("build", [
+        lambda: suites.RunConfig(alphas=()),
+        lambda: suites.RunConfig(alphas=(1.0, 1.00001)),
+        lambda: suites.RunConfig(seed=-1),
+        lambda: suites.RunConfig(tolerance_overrides={"gaussian-lam-1": float("inf")}),
+        lambda: dataclasses.replace(suites.RunConfig(), alphas=(3.1,)),
+    ], ids=["alphas-empty", "alphas-same-4-decimals", "seed-negative", "tolerance-inf",
+            "replace-guarded-alpha"])
+    def test_unchecked_config_cannot_be_built(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_fields_are_frozen(self):
+        cfg = suites.RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.alphas = ()
 
 
 # axis bounds near and beyond the float range; every grid n and --terms stays
@@ -578,7 +644,6 @@ PLAUSIBLE_CONFIGS = st.fixed_dictionaries({}, optional={
     "tolerance_overrides": st.dictionaries(
         st.sampled_from(["gaussian-lam-0.5", "gaussian-lam-1", "other"]),
         st.floats(0, 1e-15) | NUMBERS, max_size=2),
-    "out_dir": st.text(max_size=8),
 })
 
 
@@ -604,15 +669,14 @@ class TestCliFuzz:
     @settings(max_examples=60)
     @given(raw=PLAUSIBLE_CONFIGS
            | st.dictionaries(CONFIG_KEYS, FIELD_VALUES | JSON_VALUES, max_size=5)
-           | JSON_VALUES,
-           alphas=st.lists(st.floats(0.2, 2.9) | BOUNDS, max_size=2))
-    def test_verify_config(self, raw, alphas):
-        # gaussian is the cheapest suite; --out keeps a fuzzed out_dir unused
+           | JSON_VALUES)
+    def test_verify_config(self, raw):
+        # gaussian is the cheapest suite
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "cfg.json"
             cfg.write_text(json.dumps(raw))
-            argv = ["verify", "gaussian", f"--config={cfg}", f"--out={tmp}/out"]
-            assert_exit_contract(*run_captured(argv + [f"--alpha={a!r}" for a in alphas]))
+            assert_exit_contract(*run_captured(
+                ["verify", "gaussian", f"--config={cfg}", f"--out={tmp}/out"]))
 
     @settings(max_examples=80)
     @given(extent=st.sampled_from([1.0, 3.0, 1e150, 1e300]), n=st.integers(2, 6),
