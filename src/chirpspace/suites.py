@@ -15,7 +15,9 @@ import json
 import os
 import platform
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 import scipy
@@ -36,15 +38,20 @@ __all__ = [
 @dataclass(frozen=True)
 class RunConfig:
     """The settings that decide a run's verdict, checked when built (and by
-    ``dataclasses.replace``).  Every suite's grids, sizes, series lengths and
-    damping ladders are fixed in the suite: its tolerances are calibrated to them."""
+    ``dataclasses.replace``) and read-only after: ``alphas`` is held as a
+    tuple and ``tolerance_overrides`` as a read-only copy of the mapping given.
+    Every suite's grids, sizes, series lengths and damping ladders are fixed
+    in the suite: its tolerances are calibrated to them."""
 
     seed: int = 20240701  # random fields of the roundtrip and parseval suites
     # chirplet-to-kernel identity angles
     alphas: tuple[float, ...] = (np.pi / 3, np.pi / 2, 2 * np.pi / 3)
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
+    tolerance_overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alphas", tuple(self.alphas))
+        object.__setattr__(self, "tolerance_overrides",
+                           MappingProxyType(dict(self.tolerance_overrides)))
         # each alpha names two chirplet cases to 4 decimals: no alpha passes
         # vacuously, and two alphas with one name share a tolerance override
         if len({f"{a:.4f}" for a in self.alphas}) < max(len(self.alphas), 1):
@@ -75,12 +82,12 @@ class RunConfig:
 
 def _typed(key: str, default, val):
     """A JSON config value checked against the type of the field's default:
-    lists of numbers for tuples, name -> number objects for dicts."""
+    lists of numbers for tuples, name -> number objects for mappings."""
     if isinstance(default, tuple):
         if not isinstance(val, list):
             raise ValueError(f"config field {key} must be a list, got {val!r}")
         return tuple(_typed(key, 0.0, v) for v in val)
-    if isinstance(default, dict):
+    if isinstance(default, Mapping):
         if not isinstance(val, dict):
             raise ValueError(f"config field {key} must be an object, got {val!r}")
         return {k: _typed(key, 0.0, v) for k, v in val.items()}
@@ -491,5 +498,6 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
         suite=name,
         cases=cases,
         overall_pass=all(c.passed for c in cases),
-        config=dataclasses.asdict(cfg),
+        config={"seed": cfg.seed, "alphas": cfg.alphas,
+                "tolerance_overrides": dict(cfg.tolerance_overrides)},
     )

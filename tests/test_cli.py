@@ -617,6 +617,27 @@ class TestRunConfigIsChecked:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.alphas = ()
 
+    def test_tolerance_overrides_cannot_be_loosened_after_the_check(self):
+        given = {"gaussian-lam-1": 1e-6}
+        cfg = suites.RunConfig(tolerance_overrides=given)
+        with pytest.raises(TypeError):
+            cfg.tolerance_overrides["gaussian-lam-1"] = float("inf")
+        given["gaussian-lam-1"] = float("inf")  # the caller's dict is not the config's
+        report = suites.run_suite("gaussian", cfg)
+        tolerances = {c.name: c.tolerance for c in report.cases}
+        assert tolerances["gaussian-lam-1"] == 1e-6
+        assert report.config["tolerance_overrides"] == {"gaussian-lam-1": 1e-6}
+
+    def test_alphas_cannot_be_emptied_after_the_check(self):
+        given = [1.0]
+        cfg = suites.RunConfig(alphas=given)
+        assert cfg.alphas == (1.0,)
+        with pytest.raises(AttributeError):
+            cfg.alphas.clear()
+        given.clear()  # the caller's list is not the config's
+        report = suites.run_suite("chirplet-kernel", cfg)
+        assert len(report.cases) == 2 and report.overall_pass
+
 
 # axis bounds near and beyond the float range; every grid n and --terms stays
 # at a few dozen, so no example allocates a large array

@@ -1,6 +1,10 @@
+import os
+import signal
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from chirpspace import (
     write_field_csv,
     write_operator_csv,
 )
+from chirpspace import fields_io
 from chirpspace.fields_io import CsvFormatError
 
 from conftest import gaussian_poly_field, naive_field_csv, square_grid
@@ -93,6 +98,15 @@ class TestFieldCsv:
     def test_non_grid_coordinates(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("p,q,re,im\n0,0,1,0\n0,1,1,0\n1,0,1,0\n1,2,1,0\n")
+        with pytest.raises(CsvFormatError, match="tensor grid"):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("rows", [((0, 0), (0, 1), (0, 2), (1, 0), (1, 0.5), (1, 2)),
+                                      ((0, 0), (0, 1), (1, 0), (0.5, 1))],
+                             ids=["inner-below", "outer-below"])
+    def test_coordinate_below_its_axis_value(self, tmp_path, rows):
+        path = tmp_path / "f.csv"
+        path.write_text("p,q,re,im\n" + "".join(f"{p},{q},1,0\n" for p, q in rows))
         with pytest.raises(CsvFormatError, match="tensor grid"):
             read_field_csv(path)
 
@@ -198,6 +212,12 @@ def write_text(path, text):
 
 GRID_2x2 = PhaseGrid(make_axis(0.0, 1.0, 2), make_axis(-0.5, 0.25, 2))
 ROWS_2x2 = "0,-0.5,1,2\n0,0.25,3,4\n1,-0.5,5,6\n1,0.25,7,8\n"
+ARBITRARY_BODIES = (
+    st.text(max_size=60)
+    | st.text(st.sampled_from("0123456789.,-+eE_ \t\r\n\"#infa\x00"), max_size=80)
+    | st.lists(st.lists(st.sampled_from(["0", "1", "-0.5", "0.25", "nan", "1e400", "x",
+                                         "", " 1", "1_0", '"1"']), max_size=5)
+               .map(",".join), max_size=6).map("\n".join))
 
 
 class TestCsvReaderEdgeCases:
@@ -283,11 +303,7 @@ class TestCsvReaderEdgeCases:
         with pytest.raises(CsvFormatError, match="line 3: could not convert"):
             read_operator_csv(path)
 
-    @given(body=st.text(max_size=60)
-           | st.text(st.sampled_from("0123456789.,-+eE_ \t\r\n\"#infa\x00"), max_size=80)
-           | st.lists(st.lists(st.sampled_from(["0", "1", "-0.5", "0.25", "nan", "1e400", "x",
-                                                "", " 1", "1_0", '"1"']), max_size=5)
-                      .map(",".join), max_size=6).map("\n".join))
+    @given(body=ARBITRARY_BODIES)
     def test_arbitrary_body_reads_or_raises_value_error(self, body):
         with tempfile.TemporaryDirectory() as tmp:
             path = write_text(Path(tmp) / "f.csv", "p,q,re,im\n" + body)
@@ -295,3 +311,180 @@ class TestCsvReaderEdgeCases:
                 read_field_csv(path)
             except ValueError:
                 pass
+
+
+def read_in_parts(path, parts):
+    """(grid, value bytes) of a field read in this many parts, or (error
+    type, text) of the ValueError it raises."""
+    with mock.patch.object(fields_io, "_part_count", lambda body_bytes: parts):
+        try:
+            h = read_field_csv(path)
+        except ValueError as err:
+            return type(err), str(err)
+    return h.grid, h.values.tobytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def exit_codes(monkeypatch):
+    """The exit codes of the child processes reaped, in order."""
+    codes, waitpid = [], os.waitpid
+
+    def recording_waitpid(pid, options):
+        pid, status = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(status))
+        return pid, status
+
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    return codes
+
+
+def grid_body(ends="\n", edits=()):
+    """A 30x40 field body, line i ending in ends[i % len(ends)] (a string or
+    a list of line ends), with (row index, text) edits applied."""
+    rows = [f"{p},{q / 4!r},{p - q / 3!r},-0" for p in range(30) for q in range(40)]
+    for i, text in edits:
+        rows[i] = text
+    return "".join(row + ends[i % len(ends)] for i, row in enumerate(rows))
+
+
+EDGE_BODIES = {
+    "lf": ROWS_2x2,
+    "crlf": ROWS_2x2.replace("\n", "\r\n"),
+    "lone-cr": ROWS_2x2.replace("\n", "\r"),
+    "blank-lines": "0,-0.5,1,2\r\n\r\n0,0.25,3,4\n\n1,-0.5,5,6\n1,0.25,7,8\n\n\n",
+    "signed-zeros": ROWS_2x2.replace("1,2", "-0,-0").replace("7,8", "-0,0"),
+    "all-3-columns": "0,-0.5,1\n0,0.25,3\n1,-0.5,5\n1,0.25,7\n",
+    "line-4-5-columns": ROWS_2x2.replace("5,6", "5,6,0"),
+    "comment-line": "# a comment is a 1-column row\n" + ROWS_2x2,
+    "p-inf": ROWS_2x2.replace("1,-0.5,5,6", "inf,-0.5,5,6"),
+    "q-nan": ROWS_2x2.replace("1,0.25,7,8", "1,nan,7,8"),
+    "bad-cell": ROWS_2x2.replace("5,6", "5,oops"),
+    "quoted-cell": ROWS_2x2.replace("7,8", '"7",8'),
+    "underscore-cell": ROWS_2x2.replace("5,6", "1_0,6"),
+    "no-rows": "\r\n\n\r",
+    "one-row": "0,0,1,2",
+}
+
+# (body, the error a one-pass scan names, or None for a good read)
+LARGE_BODIES = {
+    "lf": (grid_body(), None),
+    "crlf": (grid_body("\r\n"), None),
+    "lone-cr": (grid_body("\r"), None),
+    "mixed-and-blank-lines": (grid_body(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n\r"]), None),
+    "no-last-line-end": (grid_body()[:-1], None),
+    "bad-last-cell": (grid_body(edits=[(1199, "29,9.75,1,oops")]), "line 1201: could not"),
+    "wrong-columns": (grid_body(edits=[(1000, "25,0,1,2,3")]), "line 1002: expected 4 columns"),
+    # the first bad line wins, wherever the later one lies
+    "nan-then-bad-cell": (grid_body(edits=[(500, "12,nan,1,2"), (900, "22,1,x,2")]),
+                          "line 502: coordinates must be finite"),
+    # a cell that only numpy rejects does not stop the scan
+    "underscore-then-bad-cell": (grid_body(edits=[(100, "2,1_0,1,2"), (900, "22,1,x,2")]),
+                                 "line 902: could not convert"),
+    "underscore-only": (grid_body(edits=[(700, "17,1_0,1,2")]), "plain decimal number"),
+}
+
+
+class TestSplitRead:
+    """A body read in 1, 2 or 3 parts gives the same values bit for bit, or
+    the same CsvFormatError text, and leaves no child process behind."""
+
+    @given(body=ARBITRARY_BODIES)
+    def test_arbitrary_body_reads_alike_in_parts(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_text(Path(tmp) / "f.csv", "p,q,re,im\n" + body)
+            one = read_in_parts(path, 1)
+            assert read_in_parts(path, 2) == one
+            assert read_in_parts(path, 3) == one
+
+    @pytest.mark.parametrize("parts", [2, 3, 8])
+    @pytest.mark.parametrize("name", EDGE_BODIES)
+    def test_edge_case_reads_alike_in_parts(self, tmp_path, name, parts):
+        # the 2x2 bodies have fewer lines than 8 parts
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + EDGE_BODIES[name])
+        assert read_in_parts(path, parts) == read_in_parts(path, 1)
+
+    @pytest.mark.parametrize("name", LARGE_BODIES)
+    def test_large_body_reads_alike_in_parts(self, tmp_path, name):
+        body, error = LARGE_BODIES[name]
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\r\n" + body)
+        one = read_in_parts(path, 1)
+        if error is None:
+            assert one[0] == PhaseGrid(make_axis(0, 29, 30), make_axis(0, 9.75, 40))
+            assert np.frombuffer(one[1], complex).imag.tobytes() == np.full(1200, -0.0).tobytes()
+        else:
+            assert one[0] is CsvFormatError and error in one[1]
+        assert read_in_parts(path, 2) == one
+        assert read_in_parts(path, 3) == one
+        assert_no_child_left()
+
+    def test_children_of_a_good_read_exit_0(self, tmp_path, exit_codes):
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + grid_body())
+        read_in_parts(path, 3)
+        assert exit_codes == [0, 0]
+
+    @pytest.mark.parametrize("name", ["lf", "bad-last-cell", "nan-then-bad-cell"])
+    def test_a_child_that_exits_nonzero_leaves_its_part_to_the_parent(
+            self, tmp_path, monkeypatch, exit_codes, name):
+        body, _ = LARGE_BODIES[name]
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + body)
+        one = read_in_parts(path, 1)
+        parent, parse = os.getpid(), fields_io._parse
+
+        def parse_or_exit(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return parse(*args)
+
+        monkeypatch.setattr(fields_io, "_parse", parse_or_exit)
+        assert read_in_parts(path, 3) == one
+        # the first child's exit is read; the second may be killed before its own
+        assert len(exit_codes) == 2 and exit_codes[0] == 3
+        assert exit_codes[1] in (3, -signal.SIGKILL)
+        assert_no_child_left()
+
+    def test_a_bad_first_part_stops_the_children(self, tmp_path, monkeypatch, exit_codes):
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + grid_body(edits=[(10, "0,x,1,2")]))
+        parent, parse = os.getpid(), fields_io._parse
+
+        def slow_in_a_child(*args):
+            if os.getpid() != parent:
+                time.sleep(20)
+            return parse(*args)
+
+        monkeypatch.setattr(fields_io, "_parse", slow_in_a_child)
+        t0 = time.perf_counter()
+        assert read_in_parts(path, 3) == (CsvFormatError, f"{path}: line 12: could not "
+                                          "convert string to float: 'x'")
+        assert time.perf_counter() - t0 < 10
+        assert exit_codes == [-signal.SIGKILL] * 2
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_read_peaks_within_2_5x_the_values(self, tmp_path, rng, parts):
+        # the result's coordinates and values, 2x, and the parser's blocks
+        path = tmp_path / "f.csv"
+        write_field_csv(gaussian_poly_field(square_grid(3, 201), rng), path)
+        with mock.patch.object(fields_io, "_part_count", lambda body_bytes: parts):
+            tracemalloc.start()
+            try:
+                h = read_field_csv(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.5 * h.values.nbytes
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_reads_in_one_part(self, tmp_path):
+        r, w = os.pipe()
+        os.write(w, ("p,q,re,im\r\n" + grid_body("\r\n")).encode())
+        os.close(w)
+        try:
+            got = read_in_parts(f"/dev/fd/{r}", 3)
+        finally:
+            os.close(r)
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\r\n" + grid_body("\r\n"))
+        assert got == read_in_parts(path, 1)
