@@ -18,7 +18,8 @@ each other part is parsed by a child made with ``os.fork``, which opens the
 file itself, sends its rows back through a pipe straight into their slice
 of the result, and leaves by ``os._exit``.  Every child is reaped before
 the read returns or raises.  A pipe is read into memory as one part.  Each
-part goes to ``np.loadtxt`` in blocks of lines, and cells are plain numbers.
+part goes to ``np.loadtxt`` in blocks of lines, and cells are plain numbers;
+in a block it rejects, the same parse, line by line, finds the first bad line.
 Python 3.12 and later warn that a ``fork`` in a process with threads
 (OpenBLAS starts some) may deadlock the child; the child here runs no BLAS,
 loads no module and runs no atexit handler.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import math
 import os
 import signal
 import warnings
@@ -96,8 +96,7 @@ def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
         try:
             rows = _parse_parts(path, fh, bounds, counts, coords, values)
         except _BadBlock as bad:
-            lineno, block = bad.args
-            _reject(itertools.chain(block, fh), path, lineno)
+            _reject(path, *bad.args)
     if rows == 0:
         raise CsvFormatError(f"{path}: no data rows")
     ax1, ax2 = _axes_from_columns(coords[:rows, 0], coords[:rows, 1], path)
@@ -157,15 +156,27 @@ def _count_lines(fb, start: int, stop: int) -> int:
 
 
 class _BadBlock(Exception):
-    """(number of its first line, its lines): a block of lines that numpy
-    rejects, or that has a row of other than four cells or a non-finite
-    coordinate."""
+    """(number of its first line, its lines): a block that ``_rows`` rejects."""
+
+
+def _rows(lines) -> np.ndarray:
+    """The rows of these lines as ``np.loadtxt`` parses them, four cells each
+    with finite coordinates, or a ValueError that says what is wrong.  A blank
+    line gives no row (only blank lines: a UserWarning, which callers filter)."""
+    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if len(data) and data.shape[1] != 4:
+        raise ValueError(f"expected 4 columns, got {data.shape[1]}")
+    # np.all, not ndarray.all: the method looks up a numpy module on its
+    # first call in a process, which may be a forked child
+    if not np.all(np.isfinite(data[:, :2])):
+        raise ValueError("coordinates must be finite")
+    return data
 
 
 def _parse(lines, count: int, coords: np.ndarray, values: np.ndarray, lineno: int) -> int:
     """Parse the next ``count`` lines of ``lines``, the first of which is
     line ``lineno``, into the leading rows of coords and values, and return
-    the row count.  ``np.loadtxt`` takes them in blocks of count/_BLOCKS."""
+    the row count.  ``_rows`` takes them in blocks of count/_BLOCKS."""
     # (re, im) pairs: re + 1j*im would turn a -0.0 into +0.0
     pairs = values.view(float).reshape(-1, 2)
     size, rows = count // _BLOCKS + 1, 0
@@ -174,15 +185,11 @@ def _parse(lines, count: int, coords: np.ndarray, values: np.ndarray, lineno: in
         for first in range(0, count, size):
             block = list(itertools.islice(lines, min(size, count - first)))
             try:
-                data = np.loadtxt(block, delimiter=",", comments=None, ndmin=2)
+                data = _rows(block)
             except ValueError:
                 raise _BadBlock(lineno + first, block) from None
             if not len(data):  # blank lines only
                 continue
-            # np.all, not ndarray.all: the method looks up a numpy module on
-            # its first call in a process, which may be a forked child
-            if data.shape[1] != 4 or not np.all(np.isfinite(data[:, :2])):
-                raise _BadBlock(lineno + first, block)
             coords[rows:rows + len(data)] = data[:, :2]
             pairs[rows:rows + len(data)] = data[:, 2:]
             rows += len(data)
@@ -264,25 +271,18 @@ def _receive(src, coords: np.ndarray, values: np.ndarray, count: int) -> int | N
     return rows
 
 
-def _reject(lines, path, lineno: int) -> None:
-    """Raise the error for a block that numpy rejected, or with a bad row,
-    naming its first bad line.  ``lines`` are the block's lines, the first of
-    which is line ``lineno``, and then the rest of the file: Python's float
-    checks them one at a time, up to the first bad one."""
-    for lineno, line in enumerate(lines, lineno):
-        if line == "\n":
-            continue
-        cells = line.rstrip("\n").split(",")
-        try:
-            if len(cells) != 4:
-                raise ValueError(f"expected 4 columns, got {len(cells)}")
-            c1, c2, _, _ = map(float, cells)
-            if not (math.isfinite(c1) and math.isfinite(c2)):
-                raise ValueError("coordinates must be finite")
-        except ValueError as err:
-            raise CsvFormatError(f"{path}: line {lineno}: {err}") from None
-    # only cells that Python's float accepts and numpy does not (e.g. "1_0")
-    raise CsvFormatError(f"{path}: a cell is not a plain decimal number")
+def _reject(path, lineno: int, block) -> None:
+    """Raise the error for a block that ``_rows`` rejected, whose first line
+    is line ``lineno``: ``_rows`` takes its lines one at a time, and the first
+    it rejects is named."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a blank line
+        for lineno, line in enumerate(block, lineno):
+            try:
+                _rows([line])
+            except ValueError as err:  # numpy's " at row " counts in a one-line list
+                raise CsvFormatError(
+                    f"{path}: line {lineno}: {str(err).split(' at row ')[0]}") from None
 
 
 def _axes_from_columns(c1: np.ndarray, c2: np.ndarray, path) -> tuple[Axis, Axis]:

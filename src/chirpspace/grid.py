@@ -124,7 +124,7 @@ def _check_values(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.n
     arr = np.ascontiguousarray(values, dtype=complex)
     if arr.shape != shape:
         raise ValueError(f"{what} values shape {arr.shape} does not match {shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.all(np.isfinite(arr)):  # False where either part is NaN or infinite
         raise ValueError(f"{what} contains non-finite values")
     arr.setflags(write=False)
     return arr
@@ -162,7 +162,7 @@ def sample_field(fn: Callable, grid: PhaseGrid) -> SampledField:
     vals = np.asarray(fn(P, Q), dtype=complex)
     if vals.shape != grid.shape:
         vals = np.broadcast_to(vals, grid.shape).copy()
-    bad = ~(np.isfinite(vals.real) & np.isfinite(vals.imag))
+    bad = ~np.isfinite(vals)
     if bad.any():
         j, k = np.argwhere(bad)[0]
         raise ValueError(

@@ -438,33 +438,29 @@ def _exp_qp(u: float, v: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return np.conj(d)[:, None] * expm(-u * K) * d, expm(-v * K)
 
 
-def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
-                     q: float = 0.0, p: float = 0.0) -> complex:
-    """Ordered characteristic function Tr[rho e^{i(q-Q)u} e^{i(p-P)v}].
-
-    The operator part Tr[rho e^{-iQu} e^{-iPv}] is evaluated through matrix
-    exponentials in the truncated eigenbasis, then multiplied by
+def _char_function(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
+                   q: float, p: float, ordered: bool) -> complex:
+    """Tr[rho e^{-iQu} e^{-iPv}] (``ordered``) or Tr[rho e^{-iPv} e^{-iQu}],
+    through matrix exponentials in the truncated eigenbasis, times
     e^{i(qu + pv)}.  Both exponentials come from the one real antisymmetric
     generator K of ``_exp_qp`` (P = -iK, Q = D^H P D), so scipy's real
-    ``expm`` path runs instead of its complex one.  Every product and norm
-    of the call runs on scipy's BLAS too (``_zmm``; see the module
-    docstring).
-    """
+    ``expm`` path runs instead of its complex one, and every product and
+    norm runs on scipy's BLAS too (``_zmm``; see the module docstring)."""
     R, _ = _project_density(rho, basis)
     eQ, eP = _exp_qp(u, v, basis.n_max)
-    val = np.trace(_zmm(_zmm(R, eQ), eP.astype(complex)))
+    eP = eP.astype(complex)
+    val = np.trace(_zmm(_zmm(R, eQ), eP) if ordered else _zmm(_zmm(R, eP), eQ))
     return complex(val * np.exp(1j * (q * u + p * v)))
+
+
+def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
+                     q: float = 0.0, p: float = 0.0) -> complex:
+    """Ordered characteristic function Tr[rho e^{i(q-Q)u} e^{i(p-P)v}]."""
+    return _char_function(rho, basis, u, v, q, p, ordered=True)
 
 
 def char_function_pq(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
                      q: float = 0.0, p: float = 0.0) -> complex:
-    """Anti-ordered characteristic function Tr[rho e^{i(p-P)v} e^{i(q-Q)u}].
-
-    Equals the conjugate of the ordered one at (-u, -v) for Hermitian rho.
-    Evaluated like ``char_function_qp``, from the real generator of
-    ``_exp_qp``.
-    """
-    R, _ = _project_density(rho, basis)
-    eQ, eP = _exp_qp(u, v, basis.n_max)
-    val = np.trace(_zmm(_zmm(R, eP.astype(complex)), eQ))
-    return complex(val * np.exp(1j * (q * u + p * v)))
+    """Anti-ordered characteristic function Tr[rho e^{i(p-P)v} e^{i(q-Q)u}]:
+    the conjugate of the ordered one at (-u, -v) for Hermitian rho."""
+    return _char_function(rho, basis, u, v, q, p, ordered=False)

@@ -17,6 +17,7 @@ import platform
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from types import MappingProxyType
 
 import numpy as np
@@ -37,9 +38,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The settings that decide a run's verdict, checked when built (and by
-    ``dataclasses.replace``) and read-only after: ``alphas`` is held as a
-    tuple and ``tolerance_overrides`` as a read-only copy of the mapping given.
+    """The settings that decide a run's verdict.  Every field is checked when
+    built, however it is built (directly, by ``from_file`` or by
+    ``dataclasses.replace``), and is read-only after: ``alphas`` is held as a
+    tuple of floats and ``tolerance_overrides`` as a read-only copy of floats.
     Every suite's grids, sizes, series lengths and damping ladders are fixed
     in the suite: its tolerances are calibrated to them."""
 
@@ -49,16 +51,23 @@ class RunConfig:
     tolerance_overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        object.__setattr__(self, "tolerance_overrides",
-                           MappingProxyType(dict(self.tolerance_overrides)))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"config field seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.alphas, (list, tuple)):
+            raise ValueError(f"config field alphas must be a list or tuple, got {self.alphas!r}")
+        overrides = self.tolerance_overrides
+        if not isinstance(overrides, Mapping) or not all(isinstance(k, str) for k in overrides):
+            raise ValueError("config field tolerance_overrides must map case names to "
+                             f"numbers, got {overrides!r}")
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "alphas", tuple(_real("alphas", a) for a in self.alphas))
+        object.__setattr__(self, "tolerance_overrides", MappingProxyType(
+            {k: _real("tolerance_overrides", t) for k, t in overrides.items()}))
         # each alpha names two chirplet cases to 4 decimals: no alpha passes
         # vacuously, and two alphas with one name share a tolerance override
         if len({f"{a:.4f}" for a in self.alphas}) < max(len(self.alphas), 1):
             raise ValueError("config field alphas needs at least one value, all distinct "
                              f"to 4 decimals, got {self.alphas}")
-        if self.seed < 0:
-            raise ValueError(f"config field seed must be >= 0, got {self.seed}")
         # an infinite tolerance passes any residual and writes a bare Infinity
         if not all(0 <= t < np.inf for t in self.tolerance_overrides.values()):
             raise ValueError("config field tolerance_overrides values must be finite "
@@ -76,27 +85,15 @@ class RunConfig:
         for key in raw:
             if key not in names:
                 raise ValueError(f"unknown config field {key!r}")
-        defaults = cls()
-        return cls(**{k: _typed(k, getattr(defaults, k), v) for k, v in raw.items()})
+        return cls(**raw)
 
 
-def _typed(key: str, default, val):
-    """A JSON config value checked against the type of the field's default:
-    lists of numbers for tuples, name -> number objects for mappings."""
-    if isinstance(default, tuple):
-        if not isinstance(val, list):
-            raise ValueError(f"config field {key} must be a list, got {val!r}")
-        return tuple(_typed(key, 0.0, v) for v in val)
-    if isinstance(default, Mapping):
-        if not isinstance(val, dict):
-            raise ValueError(f"config field {key} must be an object, got {val!r}")
-        return {k: _typed(key, 0.0, v) for k, v in val.items()}
-    allowed = (int, float) if isinstance(default, float) else type(default)
-    if isinstance(val, bool) or not isinstance(val, allowed):
-        raise ValueError(
-            f"config field {key} must be {type(default).__name__}, got {val!r}")
+def _real(key: str, val) -> float:
+    """A number of config field ``key`` as a float: a bool is not a number."""
+    if isinstance(val, bool) or not isinstance(val, Real):
+        raise ValueError(f"config field {key} must hold numbers, got {val!r}")
     try:
-        return type(default)(val)
+        return float(val)
     except OverflowError:
         raise ValueError(f"config field {key} holds an integer beyond the float range") from None
 
@@ -494,10 +491,11 @@ def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
         cases = SUITE_BUILDERS[name](cfg)
     else:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    echo = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(RunConfig)}
     return VerificationReport(
         suite=name,
         cases=cases,
         overall_pass=all(c.passed for c in cases),
-        config={"seed": cfg.seed, "alphas": cfg.alphas,
-                "tolerance_overrides": dict(cfg.tolerance_overrides)},
+        # a read-only mapping echoes as the dict it holds
+        config={k: dict(v) if isinstance(v, Mapping) else v for k, v in echo.items()},
     )

@@ -606,8 +606,19 @@ class TestRunConfigIsChecked:
         lambda: suites.RunConfig(seed=-1),
         lambda: suites.RunConfig(tolerance_overrides={"gaussian-lam-1": float("inf")}),
         lambda: dataclasses.replace(suites.RunConfig(), alphas=(3.1,)),
+        lambda: suites.RunConfig(seed=1.5),
+        lambda: suites.RunConfig(seed=True),
+        lambda: suites.RunConfig(alphas=[True]),
+        lambda: suites.RunConfig(alphas=("1.0",)),
+        lambda: suites.RunConfig(alphas="1"),
+        lambda: suites.RunConfig(alphas=(10**400,)),
+        lambda: suites.RunConfig(tolerance_overrides={"x": "1"}),
+        lambda: suites.RunConfig(tolerance_overrides={"x": True}),
+        lambda: suites.RunConfig(tolerance_overrides=[("x", 1)]),
     ], ids=["alphas-empty", "alphas-same-4-decimals", "seed-negative", "tolerance-inf",
-            "replace-guarded-alpha"])
+            "replace-guarded-alpha", "seed-float", "seed-bool", "alphas-bool", "alphas-str",
+            "alphas-scalar-str", "alphas-int-beyond-float", "tolerance-str", "tolerance-bool",
+            "tolerance-pairs"])
     def test_unchecked_config_cannot_be_built(self, build):
         with pytest.raises(ValueError):
             build()

@@ -237,21 +237,38 @@ class TestCsvReaderEdgeCases:
         assert h.grid == GRID_2x2
         assert np.array_equal(h.values, [[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
 
-    @pytest.mark.parametrize("body, line, got", [
-        ("0,-0.5,1\n0,0.25,3\n1,-0.5,5\n1,0.25,7\n", 2, 3),
-        ("0,-0.5,1\n0,0.25,3,4\n1,-0.5,5,6\n1,0.25,7,8\n", 2, 3),
-        ("0,-0.5,1,2\n0,0.25,3,4\n1,-0.5,5,6,0\n1,0.25,7,8\n", 4, 5),
-        ("# a comment is a 1-column row\n" + ROWS_2x2, 2, 1),
+    @pytest.mark.parametrize("body, error", [
+        ("0,-0.5,1\n0,0.25,3\n1,-0.5,5\n1,0.25,7\n", "line 2: expected 4 columns, got 3"),
+        ("0,-0.5,1\n0,0.25,3,4\n1,-0.5,5,6\n1,0.25,7,8\n", "line 2: expected 4 columns, got 3"),
+        ("0,-0.5,1,2\n0,0.25,3,4\n1,-0.5,5,6,0\n1,0.25,7,8\n",
+         "line 4: expected 4 columns, got 5"),
+        # with no comment character, numpy reads a "#" line as one cell
+        ("# a comment is a 1-column row\n" + ROWS_2x2,
+         "line 2: could not convert string '# a comment is a 1-column row' to float64"),
     ], ids=["all-3-columns", "first-row-3-columns", "line-4-5-columns", "comment-line"])
-    def test_wrong_column_count_names_line(self, tmp_path, body, line, got):
+    def test_wrong_column_count_names_line(self, tmp_path, body, error):
         path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + body)
-        with pytest.raises(CsvFormatError, match=f"line {line}: expected 4 columns, got {got}"):
+        with pytest.raises(CsvFormatError, match=f"{error}$"):
             read_field_csv(path)
 
-    def test_cell_python_accepts_and_numpy_rejects(self, tmp_path):
-        # float("1_0") == 10.0, so the rescan cannot name a line
+    def test_underscore_cell_names_line(self, tmp_path):
+        # float("1_0") == 10.0 but numpy rejects it: one parse names the line
         path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + ROWS_2x2.replace("5,6", "1_0,6"))
-        with pytest.raises(CsvFormatError, match="plain decimal number"):
+        with pytest.raises(CsvFormatError,
+                           match="line 4: could not convert string '1_0' to float64$"):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("bad, error", [
+        ("2,1,1,2,0", "line 102: expected 4 columns, got 5"),
+        ("2,1_0,1,2", "line 102: could not convert string '1_0' to float64"),
+    ], ids=["columns", "underscore"])
+    def test_first_bad_line_of_a_block_wins(self, tmp_path, bad, error):
+        # lines 102 and 107 share a block of the 1200-line body: its lines are
+        # checked by the block's own rules, the column count and numpy's parse
+        # (Python's float accepts "1_0")
+        body = grid_body(edits=[(100, bad), (105, "2,6.25,x,2")])
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + body)
+        with pytest.raises(CsvFormatError, match=f"{error}$"):
             read_field_csv(path)
 
     def test_quoted_cell_names_line(self, tmp_path):
@@ -260,7 +277,7 @@ class TestCsvReaderEdgeCases:
             read_field_csv(path)
 
     def test_bad_last_cell_is_named_within_the_file_size(self, tmp_path, rng):
-        # the error scan stops at the first bad line and holds one line at a time
+        # the error scan goes over the rejected block alone, one line at a time
         path = tmp_path / "f.csv"
         write_field_csv(gaussian_poly_field(square_grid(3, 201), rng), path)
         good = path.read_bytes()
@@ -382,10 +399,10 @@ LARGE_BODIES = {
     # the first bad line wins, wherever the later one lies
     "nan-then-bad-cell": (grid_body(edits=[(500, "12,nan,1,2"), (900, "22,1,x,2")]),
                           "line 502: coordinates must be finite"),
-    # a cell that only numpy rejects does not stop the scan
+    # a cell that Python's float accepts and numpy rejects is named too
     "underscore-then-bad-cell": (grid_body(edits=[(100, "2,1_0,1,2"), (900, "22,1,x,2")]),
-                                 "line 902: could not convert"),
-    "underscore-only": (grid_body(edits=[(700, "17,1_0,1,2")]), "plain decimal number"),
+                                 "line 102: could not convert"),
+    "underscore-only": (grid_body(edits=[(700, "17,1_0,1,2")]), "line 702: could not convert"),
 }
 
 
@@ -459,7 +476,7 @@ class TestSplitRead:
         monkeypatch.setattr(fields_io, "_parse", slow_in_a_child)
         t0 = time.perf_counter()
         assert read_in_parts(path, 3) == (CsvFormatError, f"{path}: line 12: could not "
-                                          "convert string to float: 'x'")
+                                          "convert string 'x' to float64")
         assert time.perf_counter() - t0 < 10
         assert exit_codes == [-signal.SIGKILL] * 2
 
