@@ -104,6 +104,10 @@ def _cmd_verify(args) -> int:
               f"{c.runtime_ms:.0f} ms) -- {c.identity}")
         if c.error:
             print(f"    error: {c.error}")
+    names = {c.name for c in report.cases}
+    for key in cfg.tolerance_overrides:  # a config may carry keys for several suites
+        if key not in names:
+            print(f"note: tolerance override {key!r} names no case of suite {report.suite}")
     verdict = "PASS" if report.overall_pass else "FAIL"
     print(f"suite {report.suite}: {verdict} ({len(report.cases)} cases) -> {report_path}")
     return EXIT_OK if report.overall_pass else EXIT_VERIFY_FAILED
@@ -132,6 +136,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    if args.terms < 1:
+        raise ValueError(f"--terms must be >= 1, got {args.terms}")
     grid = _parse_grid_spec(args.grid)
     X, Y = grid.p_axis.values[:, None], grid.q_axis.values[None, :]
     vals = closed = closedform.frft_kernel(args.angle, X, Y)

@@ -13,16 +13,19 @@ filled by one ``%`` over its interleaved (re, im) values.
 The reader splits the body into parts of whole lines, one per usable core
 (``os.sched_getaffinity``) and each of at least ``MIN_PART_BYTES``, so a
 small file is one part; a cut always follows a ``\\n`` byte, so the lines
-are those of one pass in text mode.  The calling process parses part 0;
-each other part is parsed by a child made with ``os.fork``, which opens the
-file itself, sends its rows back through a pipe straight into their slice
-of the result, and leaves by ``os._exit``.  Every child is reaped before
-the read returns or raises.  A pipe is read into memory as one part.  Each
-part goes to ``np.loadtxt`` in blocks of lines, and cells are plain numbers;
-in a block it rejects, the same parse, line by line, finds the first bad line.
-Python 3.12 and later warn that a ``fork`` in a process with threads
-(OpenBLAS starts some) may deadlock the child; the child here runs no BLAS,
-loads no module and runs no atexit handler.
+are those of one pass in text mode.  Each part after the first goes to a
+child made with ``os.fork``, which opens the file itself, sends its rows
+back through a pipe and leaves by ``os._exit``.  Then each part in order:
+its rows are read from its child straight into their slice of the result
+and the child is reaped, or, with no child or no complete result from it,
+the calling process parses it.  A child whose rows were not read is killed
+and reaped before the read returns or raises.  A pipe is read into memory
+as one part.  Each part goes to ``np.loadtxt`` in blocks of lines, and
+cells are plain numbers; in a block it rejects, the same parse, line by
+line, names the first bad line (an undecodable byte reads as U+FFFD, which
+no cell parses).  Python 3.12 and later warn that a ``fork`` in a process
+with threads (OpenBLAS starts some) may deadlock the child; the child here
+runs no BLAS, loads no module and runs no atexit handler.
 """
 from __future__ import annotations
 
@@ -77,10 +80,10 @@ def write_operator_csv(kernel: OperatorKernel, path) -> None:
 
 def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
     """(outer axis, inner axis, complex values) of a CSV with this header."""
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         seekable = fh.seekable()
         if not seekable:  # a pipe: its bytes in memory, parsed in one part
-            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), fh.encoding)
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), fh.encoding, "replace")
         first = fh.readline()
         if not first:
             raise CsvFormatError(f"{path}: empty file (line 1: expected header {header})")
@@ -93,10 +96,7 @@ def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
         counts = [_count_lines(fh.buffer, a, b) for a, b in zip(bounds, bounds[1:])]
         # a row per line: blank lines leave unused rows at the end
         coords, values = np.empty((sum(counts), 2)), np.empty(sum(counts), complex)
-        try:
-            rows = _parse_parts(path, fh, bounds, counts, coords, values)
-        except _BadBlock as bad:
-            _reject(path, *bad.args)
+        rows = _parse_parts(path, fh, bounds, counts, coords, values)
     if rows == 0:
         raise CsvFormatError(f"{path}: no data rows")
     ax1, ax2 = _axes_from_columns(coords[:rows, 0], coords[:rows, 1], path)
@@ -155,10 +155,6 @@ def _count_lines(fb, start: int, stop: int) -> int:
     return int(lines)
 
 
-class _BadBlock(Exception):
-    """(number of its first line, its lines): a block that ``_rows`` rejects."""
-
-
 def _rows(lines) -> np.ndarray:
     """The rows of these lines as ``np.loadtxt`` parses them, four cells each
     with finite coordinates, or a ValueError that says what is wrong.  A blank
@@ -173,10 +169,10 @@ def _rows(lines) -> np.ndarray:
     return data
 
 
-def _parse(lines, count: int, coords: np.ndarray, values: np.ndarray, lineno: int) -> int:
-    """Parse the next ``count`` lines of ``lines``, the first of which is
-    line ``lineno``, into the leading rows of coords and values, and return
-    the row count.  ``_rows`` takes them in blocks of count/_BLOCKS."""
+def _parse(path, lines, count: int, coords: np.ndarray, values: np.ndarray, lineno: int) -> int:
+    """Parse ``count`` lines of ``lines``, from line ``lineno``, in blocks of
+    count/_BLOCKS into the leading rows of coords and values; return the row
+    count.  In a block ``_rows`` rejects, name the first line it rejects alone."""
     # (re, im) pairs: re + 1j*im would turn a -0.0 into +0.0
     pairs = values.view(float).reshape(-1, 2)
     size, rows = count // _BLOCKS + 1, 0
@@ -187,7 +183,12 @@ def _parse(lines, count: int, coords: np.ndarray, values: np.ndarray, lineno: in
             try:
                 data = _rows(block)
             except ValueError:
-                raise _BadBlock(lineno + first, block) from None
+                for n, line in enumerate(block, lineno + first):
+                    try:
+                        _rows([line])
+                    except ValueError as err:  # numpy's " at row " counts in a one-line list
+                        raise CsvFormatError(
+                            f"{path}: line {n}: {str(err).split(' at row ')[0]}") from None
             if not len(data):  # blank lines only
                 continue
             coords[rows:rows + len(data)] = data[:, :2]
@@ -197,41 +198,39 @@ def _parse(lines, count: int, coords: np.ndarray, values: np.ndarray, lineno: in
 
 
 def _parse_parts(path, fh, bounds, counts, coords, values) -> int:
-    """Rows parsed from the parts of the body between bounds: part 0 here,
-    each other part in a forked child, each part into its slice of coords
-    and values.  From the first part whose child fails, or cannot be forked,
-    the rest of the body is parsed here.  Every child is reaped before this
-    returns or raises."""
-    children, k = [], 1  # k: the next part to take
+    """Rows of the parts between bounds, in order, in consecutive rows of coords
+    and values: a part's rows come from its child, else are parsed here."""
+    children = {}  # part: (pid, read end of its pipe) of a child not yet read
     try:
-        for start, count in zip(bounds[1:-1], counts[1:]):
+        for part in range(1, len(counts)):
             try:
-                children.append(_fork(path, start, count))
+                children[part] = _fork(path, bounds[part], counts[part])
             except OSError:
                 break
-        fh.seek(bounds[0])
-        rows = _parse(fh, counts[0], coords, values, 2)
-        for _, src in children:
-            got = _receive(src, coords[rows:], values[rows:], counts[k])
+        rows = 0
+        lines = itertools.accumulate(counts, initial=2)  # each part's first line
+        for part, (start, count, lineno) in enumerate(zip(bounds, counts, lines)):
+            got = None
+            if part in children:
+                got = _receive(children[part][1], coords[rows:], values[rows:], count)
+                pid, src = children.pop(part)
+                src.close()  # before the wait: a child still writing gets EPIPE
+                os.waitpid(pid, 0)
             if got is None:
-                break
-            rows, k = rows + got, k + 1
+                fh.seek(start)
+                got = _parse(path, fh, count, coords[rows:], values[rows:], lineno)
+            rows += got
     finally:
-        for part, (pid, src) in enumerate(children, 1):
+        for pid, src in children.values():  # their rows were never read
             src.close()
-            if part >= k:  # its rows did not arrive: it may still be parsing
-                os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if k < len(counts):
-        fh.seek(bounds[k])
-        rows += _parse(fh, sum(counts[k:]), coords[rows:], values[rows:], 2 + sum(counts[:k]))
     return rows
 
 
 def _fork(path, start: int, count: int):
     """(pid, read end of its pipe) of a forked child that parses ``count``
-    lines from byte ``start`` of the file and sends back their row count
-    and rows."""
+    lines from byte ``start`` and sends back their row count and rows."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -244,9 +243,10 @@ def _fork(path, start: int, count: int):
         try:
             coords, values = np.empty((count, 2)), np.empty(count, complex)
             # its own file offset: a forked handle shares the parent's
-            with open(path) as fh:
+            with open(path, errors="replace") as fh:
                 fh.seek(start)
-                rows = _parse(fh, count, coords, values, 0)
+                # a bad line is named when the parent parses the part again
+                rows = _parse(path, fh, count, coords, values, 0)
             with open(w, "wb") as out:
                 out.write(rows.to_bytes(8, "little"))
                 out.write(coords[:rows])
@@ -269,20 +269,6 @@ def _receive(src, coords: np.ndarray, values: np.ndarray, count: int) -> int | N
         if src.readinto(dest) < dest.nbytes:
             return None
     return rows
-
-
-def _reject(path, lineno: int, block) -> None:
-    """Raise the error for a block that ``_rows`` rejected, whose first line
-    is line ``lineno``: ``_rows`` takes its lines one at a time, and the first
-    it rejects is named."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a blank line
-        for lineno, line in enumerate(block, lineno):
-            try:
-                _rows([line])
-            except ValueError as err:  # numpy's " at row " counts in a one-line list
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: {str(err).split(' at row ')[0]}") from None
 
 
 def _axes_from_columns(c1: np.ndarray, c2: np.ndarray, path) -> tuple[Axis, Axis]:

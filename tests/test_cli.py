@@ -55,6 +55,16 @@ class TestVerifyCommand:
         assert run_cli("verify", "gaussian", "--config", str(cfg),
                        "--out", str(tmp_path)) == 1
 
+    def test_override_that_names_no_case_is_noted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerance_overrides": {"gausian-lam-1": 0.0,
+                                                           "gaussian-lam-1": 1e-6}}))
+        assert run_cli("verify", "gaussian", "--config", str(cfg),
+                       "--out", str(tmp_path)) == 0
+        notes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("note:")]
+        assert notes == ["note: tolerance override 'gausian-lam-1' names no case of "
+                         "suite gaussian"]
+
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_field": 1}))
@@ -504,6 +514,8 @@ class TestUsageErrors:
         ("verify", "chirplet-kernel", "--config", {"alphas": [1.0, 1.00001]}),
         ("kernel", "--alpha", "1.0", "--method", "hermite", "--terms", "0",
          "--grid=-1,1,3;-1,1,3"),
+        ("kernel", "--alpha", "1.0", "--method", "closed", "--terms", "-5",
+         "--grid=-1,1,3;-1,1,3"),
         ("verify", "chirplet-kernel", "--config", {"epsilons": [0.1]}),
         ("verify", "chirplet-kernel", "--config", {"epsilons": [0.1, 0.1]}),
         ("transform", "--in", _field_file, "--direction", "forward",
@@ -532,6 +544,7 @@ class TestUsageErrors:
             "config-negative-tolerance", "config-inf-tolerance", "alpha-nan",
             "config-alphas-empty",
             "alpha-duplicate", "alpha-same-4-decimals", "hermite-zero-terms",
+            "closed-negative-terms",
             "epsilon-single", "epsilon-duplicate", "transform-grid-overflow",
             "kernel-grid-overflow", "transform-out-missing-dir",
             "kernel-out-missing-dir", "verify-out-is-a-file", "config-dunder-dict",

@@ -464,6 +464,41 @@ class TestSplitRead:
         assert exit_codes[1] in (3, -signal.SIGKILL)
         assert_no_child_left()
 
+    def test_a_failed_child_leaves_the_later_children_running(
+            self, tmp_path, monkeypatch, exit_codes):
+        # the first child exits at once and the second is still parsing: the
+        # first part is parsed here, and the second child's rows are read
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + grid_body())
+        one = read_in_parts(path, 1)
+        parent, parse, fork = os.getpid(), fields_io._parse, fields_io._fork
+        forked = []
+
+        def counting_fork(*args):
+            forked.append(args)
+            return fork(*args)
+
+        def exit_or_sleep(*args):
+            if os.getpid() != parent:
+                if len(forked) == 1:  # a child's copy of the list holds its own fork
+                    os._exit(3)
+                time.sleep(1)
+            return parse(*args)
+
+        monkeypatch.setattr(fields_io, "_fork", counting_fork)
+        monkeypatch.setattr(fields_io, "_parse", exit_or_sleep)
+        assert read_in_parts(path, 3) == one
+        assert exit_codes == [3, 0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_undecodable_byte_names_its_line(self, tmp_path, parts):
+        path = tmp_path / "f.csv"
+        body = "p,q,re,im\n" + grid_body(edits=[(699, "17,@0,1,2")])
+        path.write_bytes(body.encode().replace(b"@", b"\xff"))
+        assert read_in_parts(path, parts) == (
+            CsvFormatError, f"{path}: line 701: could not convert string '\ufffd0' to float64")
+        assert_no_child_left()
+
     def test_a_bad_first_part_stops_the_children(self, tmp_path, monkeypatch, exit_codes):
         path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + grid_body(edits=[(10, "0,x,1,2")]))
         parent, parse = os.getpid(), fields_io._parse
