@@ -12,20 +12,23 @@ filled by one ``%`` over its interleaved (re, im) values.
 
 The reader splits the body into parts of whole lines, one per usable core
 (``os.sched_getaffinity``) and each of at least ``MIN_PART_BYTES``, so a
-small file is one part; a cut always follows a ``\\n`` byte, so the lines
-are those of one pass in text mode.  Each part after the first goes to a
-child made with ``os.fork``, which opens the file itself, sends its rows
-back through a pipe and leaves by ``os._exit``.  Then each part in order:
-its rows are read from its child straight into their slice of the result
-and the child is reaped, or, with no child or no complete result from it,
-the calling process parses it.  A child whose rows were not read is killed
-and reaped before the read returns or raises.  A pipe is read into memory
-as one part.  Each part goes to ``np.loadtxt`` in blocks of lines, and
-cells are plain numbers; in a block it rejects, the same parse, line by
-line, names the first bad line (an undecodable byte reads as U+FFFD, which
-no cell parses).  Python 3.12 and later warn that a ``fork`` in a process
-with threads (OpenBLAS starts some) may deadlock the child; the child here
-runs no BLAS, loads no module and runs no atexit handler.
+small file is one part; a cut always follows a ``\\n`` byte.  Lines end at
+``\\n``, ``\\r\\n`` or a lone ``\\r`` and reach numpy with their ends.  Each
+part after the first goes to a child made with ``os.fork``, which opens the
+file itself and sends back through a pipe its rows, or the text of its
+first bad line, before ``os._exit``.  Each part is parsed once, and the
+process that parses it names its bad line: in order, a part's rows are
+read from its child into their slice of the result, or its child's error
+is raised, and the child is reaped; with no child, or no complete result
+from it, the calling process parses the part.  A child whose result was
+not read is killed and reaped before the read returns or raises.  A pipe
+is read into memory as one part.  Each part goes to ``np.loadtxt`` in
+blocks of lines, and every cell must be a plain, finite number; in a block
+it rejects, the same parse, line by line, names the first bad line (an
+undecodable byte reads as U+FFFD, which no cell parses).  The grid check's
+tolerances scale with each axis.  Python 3.12 and later warn that a
+``fork`` in a process with threads (OpenBLAS starts some) may deadlock the
+child; the child here runs no BLAS, loads no module and no atexit handler.
 """
 from __future__ import annotations
 
@@ -80,17 +83,18 @@ def write_operator_csv(kernel: OperatorKernel, path) -> None:
 
 def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
     """(outer axis, inner axis, complex values) of a CSV with this header."""
-    with open(path, errors="replace") as fh:
+    # newline="": a line keeps its end, so the header's bytes are its text's
+    with open(path, errors="replace", newline="") as fh:
         seekable = fh.seekable()
         if not seekable:  # a pipe: its bytes in memory, parsed in one part
-            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), fh.encoding, "replace")
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), fh.encoding, "replace", "")
         first = fh.readline()
         if not first:
             raise CsvFormatError(f"{path}: empty file (line 1: expected header {header})")
         if [c.strip() for c in first.split(",")] != header.split(","):
             raise CsvFormatError(
                 f"{path}: line 1: expected header {header!r}, got {first.strip()!r}")
-        start, end = _body_start(fh, first), fh.buffer.seek(0, os.SEEK_END)
+        start, end = len(first.encode(fh.encoding)), fh.buffer.seek(0, os.SEEK_END)
         parts = _part_count(end - start) if seekable else 1
         bounds = _bounds(fh.buffer, start, end, parts)
         counts = [_count_lines(fh.buffer, a, b) for a, b in zip(bounds, bounds[1:])]
@@ -109,16 +113,6 @@ def _part_count(body_bytes: int) -> int:
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), body_bytes // MIN_PART_BYTES))
-
-
-def _body_start(fh, first: str) -> int:
-    """Byte offset of line 2: past the header and its line end, which text
-    mode read as "\\n" from "\\r\\n", "\\r" or "\\n"."""
-    text = first[:-1] if first.endswith("\n") else first
-    at = len(text.encode(fh.encoding))
-    fh.buffer.seek(at)
-    line_end = fh.buffer.read(2)
-    return at + (2 if line_end == b"\r\n" else len(line_end[:1]))
 
 
 def _bounds(fb, start: int, end: int, parts: int) -> list[int]:
@@ -166,6 +160,8 @@ def _rows(lines) -> np.ndarray:
     # first call in a process, which may be a forked child
     if not np.all(np.isfinite(data[:, :2])):
         raise ValueError("coordinates must be finite")
+    if not np.all(np.isfinite(data[:, 2:])):
+        raise ValueError("values must be finite")
     return data
 
 
@@ -198,39 +194,41 @@ def _parse(path, lines, count: int, coords: np.ndarray, values: np.ndarray, line
 
 
 def _parse_parts(path, fh, bounds, counts, coords, values) -> int:
-    """Rows of the parts between bounds, in order, in consecutive rows of coords
-    and values: a part's rows come from its child, else are parsed here."""
+    """Rows of the parts between bounds, in order, in consecutive rows of coords and
+    values: a part's rows, or the bad line it holds, come from its child, else from here."""
+    firsts = list(itertools.accumulate(counts, initial=2))  # each part's first line
     children = {}  # part: (pid, read end of its pipe) of a child not yet read
     try:
         for part in range(1, len(counts)):
             try:
-                children[part] = _fork(path, bounds[part], counts[part])
+                children[part] = _fork(path, bounds[part], counts[part], firsts[part])
             except OSError:
                 break
         rows = 0
-        lines = itertools.accumulate(counts, initial=2)  # each part's first line
-        for part, (start, count, lineno) in enumerate(zip(bounds, counts, lines)):
+        for part, (start, count, lineno) in enumerate(zip(bounds, counts, firsts)):
             got = None
             if part in children:
                 got = _receive(children[part][1], coords[rows:], values[rows:], count)
                 pid, src = children.pop(part)
                 src.close()  # before the wait: a child still writing gets EPIPE
-                os.waitpid(pid, 0)
-            if got is None:
+                if os.waitpid(pid, 0)[1] == 0 and isinstance(got, str):
+                    raise CsvFormatError(got)  # the bad line it met
+            if not isinstance(got, int):  # no rows, or an error text from a failed child
                 fh.seek(start)
                 got = _parse(path, fh, count, coords[rows:], values[rows:], lineno)
             rows += got
     finally:
-        for pid, src in children.values():  # their rows were never read
+        for pid, src in children.values():  # their results were never read
             src.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return rows
 
 
-def _fork(path, start: int, count: int):
+def _fork(path, start: int, count: int, lineno: int):
     """(pid, read end of its pipe) of a forked child that parses ``count``
-    lines from byte ``start`` and sends back their row count and rows."""
+    lines from byte ``start``, the first of them line ``lineno``, and sends
+    back their row count and rows, or the text of the CsvFormatError it meets."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -243,14 +241,16 @@ def _fork(path, start: int, count: int):
         try:
             coords, values = np.empty((count, 2)), np.empty(count, complex)
             # its own file offset: a forked handle shares the parent's
-            with open(path, errors="replace") as fh:
+            with open(path, errors="replace", newline="") as fh:
                 fh.seek(start)
-                # a bad line is named when the parent parses the part again
-                rows = _parse(path, fh, count, coords, values, 0)
+                try:
+                    rows = _parse(path, fh, count, coords, values, lineno)
+                    sent = rows.to_bytes(8, "little"), coords[:rows], values[:rows]
+                except CsvFormatError as err:  # its text, behind a row count past the part;
+                    # fsencode, as the path in it may hold bytes that are not UTF-8
+                    sent = (count + 1).to_bytes(8, "little"), os.fsencode(str(err))
             with open(w, "wb") as out:
-                out.write(rows.to_bytes(8, "little"))
-                out.write(coords[:rows])
-                out.write(values[:rows])
+                out.writelines(sent)
             status = 0
         finally:
             os._exit(status)
@@ -258,13 +258,15 @@ def _fork(path, start: int, count: int):
     return pid, open(r, "rb")
 
 
-def _receive(src, coords: np.ndarray, values: np.ndarray, count: int) -> int | None:
-    """Read the rows a child sent into the leading rows of coords and values
-    and return their count, or None if it sent no complete result."""
+def _receive(src, coords: np.ndarray, values: np.ndarray, count: int) -> int | str | None:
+    """Read a child's rows into the leading rows of coords and values and return
+    their count, or return the error text it sent instead; None if neither came whole."""
     head = src.read(8)
     rows = int.from_bytes(head, "little")
-    if len(head) < 8 or rows > count:
+    if len(head) < 8:
         return None
+    if rows > count:
+        return os.fsdecode(src.read())
     for dest in (coords[:rows], values[:rows]):
         if src.readinto(dest) < dest.nbytes:
             return None
@@ -278,22 +280,20 @@ def _axes_from_columns(c1: np.ndarray, c2: np.ndarray, path) -> tuple[Axis, Axis
         n2 += 1
     if len(c1) % n2 != 0:
         raise CsvFormatError(f"{path}: row count {len(c1)} not a multiple of inner length {n2}")
-    n1 = len(c1) // n2
-    v1 = c1[::n2]
-    v2 = c2[:n2]
+    n1, v1, v2 = len(c1) // n2, c1[::n2], c2[:n2]
     if n1 < 2 or n2 < 2:
         raise CsvFormatError(f"{path}: grid must be at least 2x2, got {n1}x{n2}")
-    # each coordinate column against its axis: c - v rounds monotonically in
-    # c, so the column's extremes along the other axis give its largest
-    # deviation exactly, and no n1 x n2 array is made
+    # each coordinate column against its axis, with no n1 x n2 array: c - v rounds
+    # monotonically in c, so the column's extremes give its largest deviation.  Each
+    # tolerance scales with its axis: its span, and 4 ulps of its largest |coordinate|
     for c, v, other in ((c1.reshape(n1, n2), v1, 1), (c2.reshape(n1, n2), v2, 0)):
         dev = max(np.abs(c.max(other) - v).max(), np.abs(c.min(other) - v).max())
-        if dev > 1e-12 * max(1, np.abs(v).max()):
+        if dev > 1e-12 * np.ptp(v) + 4 * np.spacing(np.abs(v).max()):
             raise CsvFormatError(f"{path}: coordinates do not form a row-major tensor grid")
 
     def to_axis(v, name):
         steps = np.diff(v)
-        if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * max(1.0, steps.max()):
+        if steps.min() <= 0 or np.ptp(steps) > 1e-9 * np.ptp(v) + 4 * np.spacing(np.abs(v).max()):
             raise CsvFormatError(f"{path}: {name} coordinates are not uniformly increasing")
         return Axis(float(v[0]), float(v[-1]), len(v))
 

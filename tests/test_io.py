@@ -125,6 +125,36 @@ class TestFieldCsv:
         with pytest.raises(CsvFormatError, match="outer coordinates are not uniformly increasing"):
             read_field_csv(path)
 
+    @pytest.mark.parametrize("scale", [1e-11, 1.0, 1e6])
+    @pytest.mark.parametrize("rows, error", [
+        ([(p, q) for p in (0, 1, 5) for q in (0, 1)],
+         "outer coordinates are not uniformly increasing"),
+        ([(0, 0), (0, 1), (1, 0), (1, 1.05)], "tensor grid"),
+        ([(p, q) for p in (0, 1) for q in (0, 1, 3)],
+         "inner coordinates are not uniformly increasing"),
+    ], ids=["outer-steps-1-and-4", "inner-1.05-against-1", "inner-steps-1-and-2"])
+    def test_deviating_grid_is_rejected_at_every_scale(self, tmp_path, scale, rows, error):
+        # the tolerances scale with the axis, so no absolute floor lets a
+        # small-scale grid through
+        path = tmp_path / "f.csv"
+        path.write_text("p,q,re,im\n" + "".join(f"{p * scale!r},{q * scale!r},1,0\n"
+                                                for p, q in rows))
+        with pytest.raises(CsvFormatError, match=error):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("lo, hi, n", [(1e6, 1e6 + 1, 1001), (1e15, 1e15 + 64, 65),
+                                           (0, 1e-10, 11), (-1e-300, 1e-300, 5)])
+    @pytest.mark.parametrize("outer", [True, False], ids=["p-axis", "q-axis"])
+    def test_written_axis_reads_back_exactly_at_any_scale_or_offset(
+            self, tmp_path, lo, hi, n, outer):
+        axes = (make_axis(lo, hi, n), make_axis(-1, 1, 3))
+        grid = PhaseGrid(*(axes if outer else axes[::-1]))
+        h = SampledField(grid, np.arange(n * 3).reshape(grid.shape) * (1 - 0.5j))
+        write_field_csv(h, tmp_path / "f.csv")
+        back = read_field_csv(tmp_path / "f.csv")
+        assert back.grid == grid
+        assert back.values.tobytes() == h.values.tobytes()
+
 
 class TestOperatorCsv:
     def kernel(self):
@@ -314,6 +344,25 @@ class TestCsvReaderEdgeCases:
         with pytest.raises(CsvFormatError, match=f"line {line}: coordinates must be finite"):
             read_field_csv(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("row", ["7.0,5.0,nan,-0", "7.0,5.0,1,inf", "7.0,5.0,1e999,-0"],
+                             ids=["re-nan", "im-inf", "re-overflow"])
+    @pytest.mark.parametrize("header, read", [("p,q,re,im", read_field_csv),
+                                              ("q1,q2,re,im", read_operator_csv)],
+                             ids=["field", "operator"])
+    def test_nonfinite_value_names_line(self, tmp_path, header, read, row, parts):
+        # a 35x35 body on one axis; line 1002 lies in the last of 2 or 3 parts
+        rows = [f"{a / 4!r},{b / 4!r},{(a == b) / 8.75!r},-0" for a in range(35)
+                for b in range(35)]
+        rows[1000] = row
+        path = write_text(tmp_path / "f.csv", header + "\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(fields_io, "_part_count", lambda body_bytes: parts):
+            with pytest.raises(CsvFormatError) as err:
+                read(path)
+        assert str(err.value) == f"{path}: line 1002: values must be finite"
+        assert_no_child_left()
+
     def test_operator_bad_value_names_line(self, tmp_path):
         body = ROWS_2x2.replace("3,4", "3,four")
         path = write_text(tmp_path / "op.csv", "q1,q2,re,im\n" + body)
@@ -437,6 +486,63 @@ class TestSplitRead:
             assert one[0] is CsvFormatError and error in one[1]
         assert read_in_parts(path, 2) == one
         assert read_in_parts(path, 3) == one
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "lone-cr"])
+    @pytest.mark.parametrize("name", [name for name, (_, error) in LARGE_BODIES.items() if error])
+    def test_bad_body_names_its_line_alike_with_any_line_end(self, tmp_path, name, ends):
+        # numpy gets each line with its own end
+        body, _ = LARGE_BODIES[name]
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + body)
+        lf = read_in_parts(path, 1)
+        write_text(path, "p,q,re,im" + ends + body.replace("\n", ends))
+        for parts in (1, 2, 3):
+            assert read_in_parts(path, parts) == lf
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("folder", [b"csv", b"csv\xff"], ids=["ascii", "not-utf-8"])
+    def test_a_bad_line_in_a_childs_part_is_parsed_once(
+            self, tmp_path, monkeypatch, exit_codes, folder):
+        # the bad line 1201 lies in the third part: its child names it, sends
+        # the text and exits 0, so the calling process parses part 0 alone
+        body, _ = LARGE_BODIES["bad-last-cell"]
+        try:
+            (tmp_path / os.fsdecode(folder)).mkdir()
+        except OSError:
+            pytest.skip("the file system takes only UTF-8 names")
+        path = write_text(tmp_path / os.fsdecode(folder) / "f.csv", "p,q,re,im\n" + body)
+        firsts, parse = [], fields_io._parse
+
+        def recording_parse(*args):
+            firsts.append(args[5])  # a child's append goes to its own copy
+            return parse(*args)
+
+        monkeypatch.setattr(fields_io, "_parse", recording_parse)
+        assert read_in_parts(path, 3) == (CsvFormatError, f"{path}: line 1201: could not "
+                                          "convert string 'oops' to float64")
+        assert firsts == [2]
+        assert exit_codes == [0, 0]
+        assert_no_child_left()
+
+    def test_an_error_text_from_a_failed_child_is_not_trusted(
+            self, tmp_path, monkeypatch, exit_codes):
+        # each child exits 5 after it sends its rows or its error text: the
+        # rows are read, and the part whose child sent a text is parsed here
+        body, _ = LARGE_BODIES["bad-last-cell"]
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + body)
+        one = read_in_parts(path, 1)
+        parent, firsts, parse, real_exit = os.getpid(), [], fields_io._parse, os._exit
+
+        def recording_parse(*args):
+            firsts.append(args[5])
+            return parse(*args)
+
+        monkeypatch.setattr(fields_io, "_parse", recording_parse)
+        monkeypatch.setattr(os, "_exit",
+                            lambda status: real_exit(5 if os.getpid() != parent else status))
+        assert read_in_parts(path, 3) == one
+        assert firsts == [2, 811]
+        assert exit_codes == [5, 5]
         assert_no_child_left()
 
     def test_children_of_a_good_read_exit_0(self, tmp_path, exit_codes):
