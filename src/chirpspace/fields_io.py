@@ -8,27 +8,32 @@ kernel is a density operator is ``quantum.validate_density``'s check).  Axes
 are reconstructed from the coordinate columns and validated for uniformity.
 The writer formats each coordinate once: the inner coordinates go into a row
 template with two ``%.17g`` value slots per point, and each outer row is
-filled by one ``%`` over its interleaved (re, im) values.
+filled by one ``%`` over its interleaved (re, im) values.  Its rows are cut
+between outer rows into parts as the reader would cut its bytes; a forked
+child formats each part after the first, copied from its pipe in order (or
+formatted here if its child failed), so the bytes are the same in any parts.
 
 The reader splits the body into parts of whole lines, one per usable core
 (``os.sched_getaffinity``) and each of at least ``MIN_PART_BYTES``, so a
 small file is one part; a cut always follows a ``\\n`` byte.  Lines end at
 ``\\n``, ``\\r\\n`` or a lone ``\\r`` and reach numpy with their ends.  Each
-part after the first goes to a child made with ``os.fork``, which opens the
-file itself and sends back through a pipe its rows, or the text of its
-first bad line, before ``os._exit``.  Each part is parsed once, and the
-process that parses it names its bad line: in order, a part's rows are
-read from its child into their slice of the result, or its child's error
-is raised, and the child is reaped; with no child, or no complete result
-from it, the calling process parses the part.  A child whose result was
-not read is killed and reaped before the read returns or raises.  A pipe
-is read into memory as one part.  Each part goes to ``np.loadtxt`` in
-blocks of lines, and every cell must be a plain, finite number; in a block
-it rejects, the same parse, line by line, names the first bad line (an
-undecodable byte reads as U+FFFD, which no cell parses).  The grid check's
-tolerances scale with each axis.  Python 3.12 and later warn that a
-``fork`` in a process with threads (OpenBLAS starts some) may deadlock the
-child; the child here runs no BLAS, loads no module and no atexit handler.
+part after the first goes to a child made with ``os.fork``, once part 0's
+first block has parsed; it opens the file itself and sends back through a
+pipe its rows, or the text of its first bad line, before ``os._exit``.
+Each part is parsed once, and the process that parses it names its bad
+line: in order, a part's rows are read from its child into their slice of
+the result, or its child's error is raised, and the child is reaped; with
+no child, or no complete result from it, the calling process parses the
+part.  A child whose result was not read is killed and reaped before the
+read returns or raises.  A pipe is read into memory as one part.  Each part
+goes to ``np.loadtxt`` in blocks of lines, and every cell must be a plain,
+finite number; in a block it rejects, the same parse, line by line, names
+the first bad line (an undecodable byte reads as U+FFFD, which no cell
+parses).  The grid check's tolerances scale with each axis, and an axis
+whose span leaves the float range is named.  Reader and writer fork through
+``_fork``.  Python 3.12 and later warn that a ``fork`` in a process with
+threads (OpenBLAS starts some) may deadlock the child; the child here runs
+no BLAS, loads no module and no atexit handler.
 """
 from __future__ import annotations
 
@@ -65,12 +70,35 @@ def _write(path, header: str, ax1: Axis, ax2: Axis, values: np.ndarray) -> None:
     pieces = [""] + [",%.17g,%%.17g,%%.17g\r\n" % q for q in ax2.values.tolist()]
     # re, im, re, im, ... along each outer row: a view of the (C-contiguous,
     # complex) values that SampledField and OperatorKernel hold
-    cells = values.view(float)
-    # newline="" keeps the \r\n line ends untranslated on every platform
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for outer, row in zip(ax1.values.tolist(), cells):
-            fh.write(("%.17g" % outer).join(pieces) % tuple(row.tolist()))
+    table, n1 = (ax1.values.tolist(), pieces, values.view(float)), ax1.n
+    parts = min(n1, _part_count(n1 * len(next(_text(*table, 0, 1)))))  # its first row, n1 times
+    bounds = [n1 * k // parts for k in range(parts + 1)]  # cuts between outer rows
+    children = {}  # part: (pid, read end of its pipe) of a child not yet read
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header.encode() + b"\r\n")
+            for part in range(1, parts):
+                try:
+                    children[part] = _fork(_text, *table, bounds[part], bounds[part + 1])
+                except OSError:
+                    break
+            for part in range(parts):
+                if part in children:
+                    pid, src = children.pop(part)
+                    with src:
+                        got = src.read()
+                    if os.waitpid(pid, 0)[1] == 0:  # so it sent all its rows
+                        fh.write(got)
+                        continue
+                fh.writelines(_text(*table, bounds[part], bounds[part + 1]))
+    finally:
+        _reap(children)
+
+
+def _text(outer: list, pieces: list, cells: np.ndarray, a: int, b: int):
+    """The bytes of outer rows a to b, one piece per outer row."""
+    for i in range(a, b):
+        yield (("%.17g" % outer[i]).join(pieces) % tuple(cells[i].tolist())).encode()
 
 
 def write_field_csv(field: SampledField, path) -> None:
@@ -165,10 +193,12 @@ def _rows(lines) -> np.ndarray:
     return data
 
 
-def _parse(path, lines, count: int, coords: np.ndarray, values: np.ndarray, lineno: int) -> int:
+def _parse(path, lines, count: int, coords: np.ndarray, values: np.ndarray, lineno: int,
+           then=None) -> int:
     """Parse ``count`` lines of ``lines``, from line ``lineno``, in blocks of
     count/_BLOCKS into the leading rows of coords and values; return the row
-    count.  In a block ``_rows`` rejects, name the first line it rejects alone."""
+    count.  In a block ``_rows`` rejects, name the first line it rejects alone.
+    Call ``then()``, if given, once the first block has parsed."""
     # (re, im) pairs: re + 1j*im would turn a -0.0 into +0.0
     pairs = values.view(float).reshape(-1, 2)
     size, rows = count // _BLOCKS + 1, 0
@@ -185,6 +215,9 @@ def _parse(path, lines, count: int, coords: np.ndarray, values: np.ndarray, line
                     except ValueError as err:  # numpy's " at row " counts in a one-line list
                         raise CsvFormatError(
                             f"{path}: line {n}: {str(err).split(' at row ')[0]}") from None
+            if then is not None:
+                then()
+                then = None
             if not len(data):  # blank lines only
                 continue
             coords[rows:rows + len(data)] = data[:, :2]
@@ -198,12 +231,15 @@ def _parse_parts(path, fh, bounds, counts, coords, values) -> int:
     values: a part's rows, or the bad line it holds, come from its child, else from here."""
     firsts = list(itertools.accumulate(counts, initial=2))  # each part's first line
     children = {}  # part: (pid, read end of its pipe) of a child not yet read
-    try:
+
+    def fork_children():  # once part 0's first block parses: a bad line there forks none
         for part in range(1, len(counts)):
             try:
-                children[part] = _fork(path, bounds[part], counts[part], firsts[part])
+                children[part] = _fork(_parse_part, path, bounds[part], counts[part], firsts[part])
             except OSError:
                 break
+
+    try:
         rows = 0
         for part, (start, count, lineno) in enumerate(zip(bounds, counts, firsts)):
             got = None
@@ -215,20 +251,24 @@ def _parse_parts(path, fh, bounds, counts, coords, values) -> int:
                     raise CsvFormatError(got)  # the bad line it met
             if not isinstance(got, int):  # no rows, or an error text from a failed child
                 fh.seek(start)
-                got = _parse(path, fh, count, coords[rows:], values[rows:], lineno)
+                got = _parse(path, fh, count, coords[rows:], values[rows:], lineno,
+                             fork_children if part == 0 else None)
             rows += got
     finally:
-        for pid, src in children.values():  # their results were never read
-            src.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        _reap(children)
     return rows
 
 
-def _fork(path, start: int, count: int, lineno: int):
-    """(pid, read end of its pipe) of a forked child that parses ``count``
-    lines from byte ``start``, the first of them line ``lineno``, and sends
-    back their row count and rows, or the text of the CsvFormatError it meets."""
+def _reap(children: dict) -> None:
+    for pid, src in children.values():  # their results were never read
+        src.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _fork(run, *args):
+    """(pid, read end of its pipe) of a forked child that sends back the
+    byte pieces of ``run(*args)``, then exits 0 (1 if run raised)."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -239,16 +279,7 @@ def _fork(path, start: int, count: int, lineno: int):
     if pid == 0:  # the child: no BLAS, no module loaded, no atexit handler
         status = 1
         try:
-            coords, values = np.empty((count, 2)), np.empty(count, complex)
-            # its own file offset: a forked handle shares the parent's
-            with open(path, errors="replace", newline="") as fh:
-                fh.seek(start)
-                try:
-                    rows = _parse(path, fh, count, coords, values, lineno)
-                    sent = rows.to_bytes(8, "little"), coords[:rows], values[:rows]
-                except CsvFormatError as err:  # its text, behind a row count past the part;
-                    # fsencode, as the path in it may hold bytes that are not UTF-8
-                    sent = (count + 1).to_bytes(8, "little"), os.fsencode(str(err))
+            sent = list(run(*args))  # whole before the first write: a pipe holds 64 KiB
             with open(w, "wb") as out:
                 out.writelines(sent)
             status = 0
@@ -256,6 +287,21 @@ def _fork(path, start: int, count: int, lineno: int):
             os._exit(status)
     os.close(w)
     return pid, open(r, "rb")
+
+
+def _parse_part(path, start: int, count: int, lineno: int) -> tuple:
+    """A child's pieces for ``count`` lines from byte ``start``, the first of them
+    line ``lineno``: their row count and rows, or the text of the CsvFormatError
+    it meets behind a row count past the part."""
+    coords, values = np.empty((count, 2)), np.empty(count, complex)
+    # its own file offset: a forked handle shares the parent's
+    with open(path, errors="replace", newline="") as fh:
+        fh.seek(start)
+        try:
+            rows = _parse(path, fh, count, coords, values, lineno)
+        except CsvFormatError as err:  # fsencode: the path in it may hold bytes that are not UTF-8
+            return (count + 1).to_bytes(8, "little"), os.fsencode(str(err))
+    return rows.to_bytes(8, "little"), coords[:rows], values[:rows]
 
 
 def _receive(src, coords: np.ndarray, values: np.ndarray, count: int) -> int | str | None:
@@ -286,9 +332,14 @@ def _axes_from_columns(c1: np.ndarray, c2: np.ndarray, path) -> tuple[Axis, Axis
     # each coordinate column against its axis, with no n1 x n2 array: c - v rounds
     # monotonically in c, so the column's extremes give its largest deviation.  Each
     # tolerance scales with its axis: its span, and 4 ulps of its largest |coordinate|
-    for c, v, other in ((c1.reshape(n1, n2), v1, 1), (c2.reshape(n1, n2), v2, 0)):
-        dev = max(np.abs(c.max(other) - v).max(), np.abs(c.min(other) - v).max())
-        if dev > 1e-12 * np.ptp(v) + 4 * np.spacing(np.abs(v).max()):
+    for c, v, other, name in ((c1.reshape(n1, n2), v1, 1, "outer"),
+                              (c2.reshape(n1, n2), v2, 0, "inner")):
+        with np.errstate(over="ignore"):  # a span or deviation past the float range is inf
+            span = np.ptp(v)
+            dev = max(np.abs(c.max(other) - v).max(), np.abs(c.min(other) - v).max())
+        if np.isinf(span):
+            raise CsvFormatError(f"{path}: {name} coordinates span more than the float range")
+        if dev > 1e-12 * span + 4 * np.spacing(np.abs(v).max()):
             raise CsvFormatError(f"{path}: coordinates do not form a row-major tensor grid")
 
     def to_axis(v, name):

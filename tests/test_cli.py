@@ -370,6 +370,21 @@ class TestTransformCommand:
         assert code == 2
         assert "empty file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, error", [
+        ([(-1e308, 0), (-1e308, 1), (1e308, 0), (1e308, 1)],
+         "outer coordinates span more than the float range"),
+        # p spans 1e308, but one row's p cells differ by 2e308
+        ([(-1e308, 0), (1e308, 1), (0, 0), (0, 1)],
+         "coordinates do not form a row-major tensor grid"),
+    ], ids=["span", "row-deviation"])
+    def test_coordinates_past_the_float_range_are_a_format_error(
+            self, tmp_path, capsys, rows, error):
+        inpath = tmp_path / "big.csv"
+        inpath.write_text("p,q,re,im\n" + "".join(f"{p!r},{q},1,0\n" for p, q in rows))
+        assert run_cli("transform", "--in", str(inpath), "--direction", "forward",
+                       "--grid=-1,1,4;-1,1,4", "--out", str(tmp_path / "o.csv")) == 2
+        assert capsys.readouterr().err == f"transform error: {inpath}: {error}\n"
+
     def test_bad_grid_spec_is_usage_error(self, tmp_path, rng):
         _, inpath = self.write_input(tmp_path, rng)
         assert run_cli("transform", "--in", str(inpath), "--direction", "forward",

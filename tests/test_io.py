@@ -155,6 +155,23 @@ class TestFieldCsv:
         assert back.grid == grid
         assert back.values.tobytes() == h.values.tobytes()
 
+    @pytest.mark.parametrize("rows, error", [
+        ([(-1e308, 0), (-1e308, 1), (1e308, 0), (1e308, 1)],
+         "outer coordinates span more than the float range"),
+        ([(0, -1e308), (0, 1e308), (1, -1e308), (1, 1e308)],
+         "inner coordinates span more than the float range"),
+        # p spans 1e308, but one row's p cells differ by 2e308
+        ([(-1e308, 0), (1e308, 1), (0, 0), (0, 1)],
+         "coordinates do not form a row-major tensor grid"),
+    ], ids=["outer-span", "inner-span", "row-deviation"])
+    def test_coordinates_past_the_float_range_are_named(self, tmp_path, rows, error):
+        # the check warns of no overflow (a RuntimeWarning fails the test)
+        path = tmp_path / "f.csv"
+        path.write_text("p,q,re,im\n" + "".join(f"{p!r},{q!r},1,0\n" for p, q in rows))
+        with pytest.raises(CsvFormatError) as err:
+            read_field_csv(path)
+        assert str(err.value) == f"{path}: {error}"
+
 
 class TestOperatorCsv:
     def kernel(self):
@@ -207,6 +224,12 @@ EDGE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e3
                         st.floats(allow_nan=False, allow_infinity=False))
 
 
+# a file object collected unclosed warns in its __del__, which pytest reports
+# as an unraisable exception
+UNCLOSED_FILE_FAILS = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+
+
 class TestWriterAgainstPerRowOracle:
     @given(data=st.data())
     def test_bytes_match_and_read_back_bit_exactly(self, data):
@@ -233,6 +256,88 @@ class TestWriterAgainstPerRowOracle:
         assert kernel.axis == ax1
         assert field.values.tobytes() == values.tobytes()
         assert kernel.values.tobytes() == op_values.tobytes()
+
+    @UNCLOSED_FILE_FAILS
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("n1, n2", [(6, 4), (7, 5), (2, 3)],
+                             ids=["n1-6", "n1-7", "n1-2"])
+    def test_bytes_match_the_one_part_writer_at_any_part_count(self, tmp_path, n1, n2, parts):
+        # 7 outer rows do not split evenly in 2 or 3 parts, and 2 are fewer than 3
+        ax1, ax2 = make_axis(-1.5, 2.0, n1), make_axis(0.1, 0.7, n2)
+        values = np.arange(n1 * n2).reshape(n1, n2) / 7 - 0.5j
+        values[::2, 1] = complex(-0.0, -0.0)
+        op_values = np.outer(np.arange(n1) / 3, np.ones(n1)) * (1 + 0j)
+        op_values[0] = complex(0.0, -0.0)
+        for write, obj, header, oracle_args in (
+                (write_field_csv, SampledField(PhaseGrid(ax1, ax2), values), "p,q,re,im",
+                 (ax1.values, ax2.values, values)),
+                (write_operator_csv, OperatorKernel(ax1, op_values), "q1,q2,re,im",
+                 (ax1.values, ax1.values, op_values))):
+            path = tmp_path / f"{header}.csv"
+            write_in_parts(write, obj, path, 1)
+            one = path.read_bytes()
+            assert one == naive_field_csv(header, *oracle_args)
+            write_in_parts(write, obj, path, parts)
+            assert path.read_bytes() == one
+
+    @UNCLOSED_FILE_FAILS
+    @pytest.mark.parametrize("how", ["exit-1", "killed"])
+    def test_a_failed_child_leaves_its_part_to_the_caller(
+            self, tmp_path, monkeypatch, exit_codes, how):
+        h = gaussian_poly_field(square_grid(2, 9), np.random.default_rng(1))
+        write_in_parts(write_field_csv, h, tmp_path / "one.csv", 1)
+        parent, text = os.getpid(), fields_io._text
+
+        def failing_text(*args):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("a child's failure")
+            return text(*args)
+
+        monkeypatch.setattr(fields_io, "_text", failing_text)
+        write_in_parts(write_field_csv, h, tmp_path / "parts.csv", 3)
+        assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert exit_codes == [1 if how == "exit-1" else -signal.SIGKILL] * 2
+
+    @UNCLOSED_FILE_FAILS
+    def test_a_failed_fork_leaves_every_part_to_the_caller(self, tmp_path, monkeypatch):
+        h = gaussian_poly_field(square_grid(2, 9), np.random.default_rng(2))
+        write_in_parts(write_field_csv, h, tmp_path / "one.csv", 1)
+
+        def no_fork():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        write_in_parts(write_field_csv, h, tmp_path / "parts.csv", 3)
+        assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    @UNCLOSED_FILE_FAILS
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_a_fifo_gets_the_bytes_of_a_file(self, tmp_path, parts):
+        # a 9x9 field's text fits in the FIFO's buffer, so it is read after the write
+        h = gaussian_poly_field(square_grid(2, 9), np.random.default_rng(3))
+        write_in_parts(write_field_csv, h, tmp_path / "one.csv", 1)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        r = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_in_parts(write_field_csv, h, fifo, parts)
+            got = os.read(r, 1 << 20)
+        finally:
+            os.close(r)
+        assert got == (tmp_path / "one.csv").read_bytes()
+
+
+def write_in_parts(write, obj, path, parts):
+    """Write obj in this many parts, and check that no child process and
+    no file descriptor of the write is left."""
+    fds = set(os.listdir("/dev/fd"))
+    with mock.patch.object(fields_io, "_part_count", lambda estimate: parts):
+        write(obj, path)
+    assert set(os.listdir("/dev/fd")) == fds
+    assert_no_child_left()
 
 
 def write_text(path, text):
@@ -594,6 +699,19 @@ class TestSplitRead:
         monkeypatch.setattr(fields_io, "_parse", exit_or_sleep)
         assert read_in_parts(path, 3) == one
         assert exit_codes == [3, 0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("row, forks", [(3, 0), (10, 2)], ids=["first-block", "second-block"])
+    def test_a_bad_line_in_part_0s_first_block_forks_nothing(
+            self, tmp_path, monkeypatch, row, forks):
+        # part 0 of 3 holds lines 2 to 401, parsed in blocks of 7 lines
+        path = write_text(tmp_path / "f.csv",
+                          "p,q,re,im\n" + grid_body(edits=[(row, "0,1_0,1,2")]))
+        fork = mock.Mock(side_effect=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        assert read_in_parts(path, 3) == (CsvFormatError, f"{path}: line {row + 2}: could not "
+                                          "convert string '1_0' to float64")
+        assert fork.call_count == forks
         assert_no_child_left()
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
