@@ -8,38 +8,40 @@ kernel is a density operator is ``quantum.validate_density``'s check).  Axes
 are reconstructed from the coordinate columns and validated for uniformity.
 The writer formats each coordinate once: the inner coordinates go into a row
 template with two ``%.17g`` value slots per point, and each outer row is
-filled by one ``%`` over its interleaved (re, im) values.  Its rows are cut
-between outer rows into parts as the reader would cut its bytes; a forked
-child formats each part after the first, copied from its pipe in order (or
-formatted here if its child failed), so the bytes are the same in any parts.
+filled by one ``%`` over its interleaved (re, im) values.
 
-The reader splits the body into parts of whole lines, one per usable core
+Reader and writer cut their work into parts, one per usable core
 (``os.sched_getaffinity``) and each of at least ``MIN_PART_BYTES``, so a
-small file is one part; a cut always follows a ``\\n`` byte.  Lines end at
-``\\n``, ``\\r\\n`` or a lone ``\\r`` and reach numpy with their ends.  Each
-part after the first goes to a child made with ``os.fork``, once part 0's
-first block has parsed; it opens the file itself and sends back through a
-pipe its rows, or the text of its first bad line, before ``os._exit``.
-Each part is parsed once, and the process that parses it names its bad
-line: in order, a part's rows are read from its child into their slice of
-the result, or its child's error is raised, and the child is reaped; with
-no child, or no complete result from it, the calling process parses the
-part.  A child whose result was not read is killed and reaped before the
-read returns or raises.  A pipe is read into memory as one part.  Each part
-goes to ``np.loadtxt`` in blocks of lines, and every cell must be a plain,
-finite number; in a block it rejects, the same parse, line by line, names
-the first bad line (an undecodable byte reads as U+FFFD, which no cell
+small file is one part: the reader cuts the body after a ``\\n`` byte, the
+writer its rows between outer rows.  Each part after the first goes to a
+child made with ``os.fork``, which writes its result into an in-memory file
+(``os.memfd_create``) and exits.  In order, each part follows one rule: its
+child is reaped, and only if it exited 0 is its file read from the start,
+for the reader's rows or the text of its bad line, or for the writer's bytes,
+copied to the output in chunks; otherwise the calling process does the part.
+A child not yet reaped is killed and reaped before the read or write returns
+or raises.  So the bytes written are the same in any parts, and each part is
+parsed once, by the process that names its bad line.  Where ``os.fork``,
+``os.sched_getaffinity`` or ``os.memfd_create`` is missing there is one part.
+
+Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` and reach numpy with
+their ends.  The reader forks once part 0's first block has parsed, so a bad
+line there forks nothing, and reads a pipe into memory as one part.  Each
+part goes to ``np.loadtxt`` in blocks of lines, and every cell must be a
+plain, finite number; in a block it rejects, the same parse, line by line,
+names the first bad line (an undecodable byte reads as U+FFFD, which no cell
 parses).  The grid check's tolerances scale with each axis, and an axis
-whose span leaves the float range is named.  Reader and writer fork through
-``_fork``.  Python 3.12 and later warn that a ``fork`` in a process with
-threads (OpenBLAS starts some) may deadlock the child; the child here runs
-no BLAS, loads no module and no atexit handler.
+whose span leaves the float range is named.  Python 3.12 and later warn
+that a ``fork`` in a process with threads (OpenBLAS starts some) may
+deadlock the child; the child here runs no BLAS, loads no module and no
+atexit handler.
 """
 from __future__ import annotations
 
 import io
 import itertools
 import os
+import shutil
 import signal
 import warnings
 
@@ -73,24 +75,16 @@ def _write(path, header: str, ax1: Axis, ax2: Axis, values: np.ndarray) -> None:
     table, n1 = (ax1.values.tolist(), pieces, values.view(float)), ax1.n
     parts = min(n1, _part_count(n1 * len(next(_text(*table, 0, 1)))))  # its first row, n1 times
     bounds = [n1 * k // parts for k in range(parts + 1)]  # cuts between outer rows
-    children = {}  # part: (pid, read end of its pipe) of a child not yet read
+    args = [(*table, a, b) for a, b in zip(bounds, bounds[1:])]  # _text's, per part
+    children = {}  # part: (pid, in-memory file) of a child not yet reaped
     try:
         with open(path, "wb") as fh:
             fh.write(header.encode() + b"\r\n")
-            for part in range(1, parts):
-                try:
-                    children[part] = _fork(_text, *table, bounds[part], bounds[part + 1])
-                except OSError:
-                    break
+            _fork_parts(children, _text, args)
             for part in range(parts):
-                if part in children:
-                    pid, src = children.pop(part)
-                    with src:
-                        got = src.read()
-                    if os.waitpid(pid, 0)[1] == 0:  # so it sent all its rows
-                        fh.write(got)
-                        continue
-                fh.writelines(_text(*table, bounds[part], bounds[part + 1]))
+                # copyfileobj returns None: "or True" tells a copied part from none
+                if not _take(children, part, lambda src: shutil.copyfileobj(src, fh) or True):
+                    fh.writelines(_text(*args[part]))
     finally:
         _reap(children)
 
@@ -137,8 +131,8 @@ def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
 
 def _part_count(body_bytes: int) -> int:
     """One part per usable core, each of at least MIN_PART_BYTES; one part
-    where ``os.fork`` or ``os.sched_getaffinity`` is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    where ``os.fork``, ``os.sched_getaffinity`` or ``os.memfd_create`` is missing."""
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create")):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), body_bytes // MIN_PART_BYTES))
 
@@ -230,29 +224,20 @@ def _parse_parts(path, fh, bounds, counts, coords, values) -> int:
     """Rows of the parts between bounds, in order, in consecutive rows of coords and
     values: a part's rows, or the bad line it holds, come from its child, else from here."""
     firsts = list(itertools.accumulate(counts, initial=2))  # each part's first line
-    children = {}  # part: (pid, read end of its pipe) of a child not yet read
-
-    def fork_children():  # once part 0's first block parses: a bad line there forks none
-        for part in range(1, len(counts)):
-            try:
-                children[part] = _fork(_parse_part, path, bounds[part], counts[part], firsts[part])
-            except OSError:
-                break
-
+    args = [(path, *cut) for cut in zip(bounds, counts, firsts)]  # _parse_part's, per part
+    children = {}  # part: (pid, in-memory file) of a child not yet reaped
     try:
         rows = 0
-        for part, (start, count, lineno) in enumerate(zip(bounds, counts, firsts)):
-            got = None
-            if part in children:
-                got = _receive(children[part][1], coords[rows:], values[rows:], count)
-                pid, src = children.pop(part)
-                src.close()  # before the wait: a child still writing gets EPIPE
-                if os.waitpid(pid, 0)[1] == 0 and isinstance(got, str):
-                    raise CsvFormatError(got)  # the bad line it met
-            if not isinstance(got, int):  # no rows, or an error text from a failed child
+        for part, (_, start, count, lineno) in enumerate(args):
+            got = _take(children, part,
+                        lambda src: _receive(src, coords[rows:], values[rows:], count))
+            if isinstance(got, str):
+                raise CsvFormatError(got)  # the bad line its child met
+            if got is None:  # no child, or none that exited 0
                 fh.seek(start)
-                got = _parse(path, fh, count, coords[rows:], values[rows:], lineno,
-                             fork_children if part == 0 else None)
+                # part 0 forks the others once its first block parses: a bad line there forks none
+                then = (lambda: _fork_parts(children, _parse_part, args)) if part == 0 else None
+                got = _parse(path, fh, count, coords[rows:], values[rows:], lineno, then)
             rows += got
     finally:
         _reap(children)
@@ -260,33 +245,51 @@ def _parse_parts(path, fh, bounds, counts, coords, values) -> int:
 
 
 def _reap(children: dict) -> None:
-    for pid, src in children.values():  # their results were never read
-        src.close()
+    for pid, out in children.values():  # not reaped yet
+        out.close()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
 
+def _fork_parts(children: dict, run, args: list) -> None:
+    """Fork a child for each part after the first, to run ``run(*args[part])``,
+    until a fork fails."""
+    for part in range(1, len(args)):
+        try:
+            children[part] = _fork(run, *args[part])
+        except OSError:
+            break
+
+
 def _fork(run, *args):
-    """(pid, read end of its pipe) of a forked child that sends back the
-    byte pieces of ``run(*args)``, then exits 0 (1 if run raised)."""
-    r, w = os.pipe()
+    """(pid, in-memory file) of a forked child that writes the byte pieces of
+    ``run(*args)`` into that file, then exits 0 (1 if run raised)."""
+    out = open(os.memfd_create("part"), "w+b")
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        out.close()
         raise
     if pid == 0:  # the child: no BLAS, no module loaded, no atexit handler
         status = 1
         try:
-            sent = list(run(*args))  # whole before the first write: a pipe holds 64 KiB
-            with open(w, "wb") as out:
-                out.writelines(sent)
+            out.writelines(run(*args))
+            out.flush()
             status = 0
         finally:
             os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
+    return pid, out
+
+
+def _take(children: dict, part: int, read):
+    """Reap the part's child and return ``read`` of its file, from the start, if it
+    exited 0; None if the part has no child or its child did not exit 0."""
+    if part in children:
+        status = os.waitpid(children[part][0], 0)[1]
+        with children.pop(part)[1] as out:  # reaped, so popped; closed even if read raises
+            if status == 0:
+                out.seek(0)
+                return read(out)
 
 
 def _parse_part(path, start: int, count: int, lineno: int) -> tuple:
@@ -304,18 +307,14 @@ def _parse_part(path, start: int, count: int, lineno: int) -> tuple:
     return rows.to_bytes(8, "little"), coords[:rows], values[:rows]
 
 
-def _receive(src, coords: np.ndarray, values: np.ndarray, count: int) -> int | str | None:
+def _receive(src, coords: np.ndarray, values: np.ndarray, count: int) -> int | str:
     """Read a child's rows into the leading rows of coords and values and return
-    their count, or return the error text it sent instead; None if neither came whole."""
-    head = src.read(8)
-    rows = int.from_bytes(head, "little")
-    if len(head) < 8:
-        return None
+    their count, or return the error text it wrote instead."""
+    rows = int.from_bytes(src.read(8), "little")
     if rows > count:
         return os.fsdecode(src.read())
-    for dest in (coords[:rows], values[:rows]):
-        if src.readinto(dest) < dest.nbytes:
-            return None
+    src.readinto(coords[:rows])
+    src.readinto(values[:rows])
     return rows
 
 

@@ -1,3 +1,4 @@
+import io
 import os
 import signal
 import tempfile
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -329,6 +330,30 @@ class TestWriterAgainstPerRowOracle:
             os.close(r)
         assert got == (tmp_path / "one.csv").read_bytes()
 
+    @UNCLOSED_FILE_FAILS
+    def test_a_copy_that_raises_leaves_no_child(self, tmp_path, monkeypatch):
+        h = gaussian_poly_field(square_grid(2, 9), np.random.default_rng(4))
+
+        def no_memory(src, dst):
+            raise MemoryError
+
+        monkeypatch.setattr(fields_io.shutil, "copyfileobj", no_memory)
+        assert_raises_leaving_nothing(MemoryError, write_in_parts,
+                                      write_field_csv, h, tmp_path / "f.csv", 3)
+
+    def test_the_caller_holds_no_childs_part(self, tmp_path):
+        # a 401^2 field's text is about 13 MB; the child's half is copied in chunks
+        h = gaussian_poly_field(square_grid(6, 401), np.random.default_rng(5))
+        with mock.patch.object(fields_io, "_part_count", lambda estimate: 2):
+            tracemalloc.start()
+            try:
+                write_field_csv(h, tmp_path / "f.csv")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 1e6
+        assert_no_child_left()
+
 
 def write_in_parts(write, obj, path, parts):
     """Write obj in this many parts, and check that no child process and
@@ -500,6 +525,15 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def assert_raises_leaving_nothing(error, call, *args):
+    """call(*args) raises error, and leaves no child process and no file descriptor."""
+    fds = set(os.listdir("/dev/fd"))
+    with pytest.raises(error):
+        call(*args)
+    assert set(os.listdir("/dev/fd")) == fds
+    assert_no_child_left()
+
+
 @pytest.fixture
 def exit_codes(monkeypatch):
     """The exit codes of the child processes reaped, in order."""
@@ -631,8 +665,8 @@ class TestSplitRead:
 
     def test_an_error_text_from_a_failed_child_is_not_trusted(
             self, tmp_path, monkeypatch, exit_codes):
-        # each child exits 5 after it sends its rows or its error text: the
-        # rows are read, and the part whose child sent a text is parsed here
+        # each child exits 5 after it writes its rows or its error text: a
+        # part's result counts on exit 0 alone, so both parts are parsed here
         body, _ = LARGE_BODIES["bad-last-cell"]
         path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + body)
         one = read_in_parts(path, 1)
@@ -646,9 +680,19 @@ class TestSplitRead:
         monkeypatch.setattr(os, "_exit",
                             lambda status: real_exit(5 if os.getpid() != parent else status))
         assert read_in_parts(path, 3) == one
-        assert firsts == [2, 811]
+        assert firsts == [2, 412, 811]
         assert exit_codes == [5, 5]
         assert_no_child_left()
+
+    @UNCLOSED_FILE_FAILS
+    def test_a_receive_that_raises_leaves_no_child(self, tmp_path, monkeypatch):
+        path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + grid_body())
+
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(fields_io, "_receive", no_memory)
+        assert_raises_leaving_nothing(MemoryError, read_in_parts, path, 3)
 
     def test_children_of_a_good_read_exit_0(self, tmp_path, exit_codes):
         path = write_text(tmp_path / "f.csv", "p,q,re,im\n" + grid_body())
@@ -738,6 +782,15 @@ class TestSplitRead:
                                           "convert string 'x' to float64")
         assert time.perf_counter() - t0 < 10
         assert exit_codes == [-signal.SIGKILL] * 2
+
+    @settings(max_examples=200)
+    @given(body=st.lists(st.sampled_from([b"a", b"\r", b"\n"]), max_size=40).map(b"".join))
+    def test_line_count_at_every_chunk_boundary(self, body):
+        # a "\r" that ends one chunk pairs with a "\n" that starts the next
+        lines = len(io.TextIOWrapper(io.BytesIO(body), "ascii", newline="").readlines())
+        for size in range(1, 8):
+            with mock.patch.object(fields_io, "_COUNT_BYTES", size):
+                assert fields_io._count_lines(io.BytesIO(body), 0, len(body)) == lines
 
     @pytest.mark.parametrize("parts", [1, 2])
     def test_read_peaks_within_2_5x_the_values(self, tmp_path, rng, parts):
