@@ -23,18 +23,19 @@ A child not yet reaped is killed and reaped before the read or write returns
 or raises.  So the bytes written are the same in any parts, and each part is
 parsed once, by the process that names its bad line.  Where ``os.fork``,
 ``os.sched_getaffinity`` or ``os.memfd_create`` is missing there is one part.
+Every part of a read reads the caller's open file, which a child reopens as
+``/proc/self/fd/<fd>``, so a path replaced during the read changes nothing;
+a pipe is first copied into an in-memory file.
 
-Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` and reach numpy with
-their ends.  The reader forks once part 0's first block has parsed, so a bad
-line there forks nothing, and reads a pipe into memory as one part.  Each
+A line 1 of 4096 or more characters is no header.  Lines end at
+``\\n``, ``\\r\\n`` or a lone ``\\r`` and reach numpy with their ends.  Each
 part goes to ``np.loadtxt`` in blocks of lines, and every cell must be a
 plain, finite number; in a block it rejects, the same parse, line by line,
 names the first bad line (an undecodable byte reads as U+FFFD, which no cell
-parses).  The grid check's tolerances scale with each axis, and an axis
-whose span leaves the float range is named.  Python 3.12 and later warn
-that a ``fork`` in a process with threads (OpenBLAS starts some) may
-deadlock the child; the child here runs no BLAS, loads no module and no
-atexit handler.
+parses).  The grid check's tolerances scale with each axis, and an axis whose
+span leaves the float range is named.  Python 3.12 and later warn that a
+``fork`` in a process with threads (OpenBLAS starts some) may deadlock the
+child; the child here runs no BLAS, loads no module and no atexit handler.
 """
 from __future__ import annotations
 
@@ -105,21 +106,21 @@ def write_operator_csv(kernel: OperatorKernel, path) -> None:
 
 def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
     """(outer axis, inner axis, complex values) of a CSV with this header."""
-    # newline="": a line keeps its end, so the header's bytes are its text's
-    with open(path, errors="replace", newline="") as fh:
-        seekable = fh.seekable()
-        if not seekable:  # a pipe: its bytes in memory, parsed in one part
-            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), fh.encoding, "replace", "")
-        first = fh.readline()
+    with open(path, "rb") as src, (src if src.seekable() else _in_memory()) as fb:
+        if fb is not src:  # a pipe: its bytes go into an in-memory file, read as a file is
+            shutil.copyfileobj(src, fb)
+            fb.seek(0)
+        # newline="": a line keeps its end, so the header's bytes are its text's
+        fh = io.TextIOWrapper(fb, errors="replace", newline="")
+        first = fh.readline(4096)  # no header is this long: a line with no end is not read whole
         if not first:
             raise CsvFormatError(f"{path}: empty file (line 1: expected header {header})")
-        if [c.strip() for c in first.split(",")] != header.split(","):
+        if len(first) == 4096 or [c.strip() for c in first.split(",")] != header.split(","):
             raise CsvFormatError(
                 f"{path}: line 1: expected header {header!r}, got {first.strip()!r}")
-        start, end = len(first.encode(fh.encoding)), fh.buffer.seek(0, os.SEEK_END)
-        parts = _part_count(end - start) if seekable else 1
-        bounds = _bounds(fh.buffer, start, end, parts)
-        counts = [_count_lines(fh.buffer, a, b) for a, b in zip(bounds, bounds[1:])]
+        start, end = len(first.encode(fh.encoding)), fb.seek(0, os.SEEK_END)
+        bounds = _bounds(fb, start, end, _part_count(end - start))
+        counts = [_count_lines(fb, a, b) for a, b in zip(bounds, bounds[1:])]
         # a row per line: blank lines leave unused rows at the end
         coords, values = np.empty((sum(counts), 2)), np.empty(sum(counts), complex)
         rows = _parse_parts(path, fh, bounds, counts, coords, values)
@@ -127,6 +128,11 @@ def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
         raise CsvFormatError(f"{path}: no data rows")
     ax1, ax2 = _axes_from_columns(coords[:rows, 0], coords[:rows, 1], path)
     return ax1, ax2, values[:rows].reshape(ax1.n, ax2.n)
+
+
+def _in_memory():
+    """An empty in-memory file, which a forked child can reopen where it is a memfd."""
+    return open(os.memfd_create("input"), "w+b") if hasattr(os, "memfd_create") else io.BytesIO()
 
 
 def _part_count(body_bytes: int) -> int:
@@ -187,12 +193,10 @@ def _rows(lines) -> np.ndarray:
     return data
 
 
-def _parse(path, lines, count: int, coords: np.ndarray, values: np.ndarray, lineno: int,
-           then=None) -> int:
+def _parse(path, lines, count: int, coords: np.ndarray, values: np.ndarray, lineno: int) -> int:
     """Parse ``count`` lines of ``lines``, from line ``lineno``, in blocks of
     count/_BLOCKS into the leading rows of coords and values; return the row
-    count.  In a block ``_rows`` rejects, name the first line it rejects alone.
-    Call ``then()``, if given, once the first block has parsed."""
+    count.  In a block ``_rows`` rejects, name the first line it rejects alone."""
     # (re, im) pairs: re + 1j*im would turn a -0.0 into +0.0
     pairs = values.view(float).reshape(-1, 2)
     size, rows = count // _BLOCKS + 1, 0
@@ -209,9 +213,6 @@ def _parse(path, lines, count: int, coords: np.ndarray, values: np.ndarray, line
                     except ValueError as err:  # numpy's " at row " counts in a one-line list
                         raise CsvFormatError(
                             f"{path}: line {n}: {str(err).split(' at row ')[0]}") from None
-            if then is not None:
-                then()
-                then = None
             if not len(data):  # blank lines only
                 continue
             coords[rows:rows + len(data)] = data[:, :2]
@@ -224,20 +225,19 @@ def _parse_parts(path, fh, bounds, counts, coords, values) -> int:
     """Rows of the parts between bounds, in order, in consecutive rows of coords and
     values: a part's rows, or the bad line it holds, come from its child, else from here."""
     firsts = list(itertools.accumulate(counts, initial=2))  # each part's first line
-    args = [(path, *cut) for cut in zip(bounds, counts, firsts)]  # _parse_part's, per part
+    args = [(path, fh, *cut) for cut in zip(bounds, counts, firsts)]  # _parse_part's, per part
     children = {}  # part: (pid, in-memory file) of a child not yet reaped
     try:
+        _fork_parts(children, _parse_part, args)
         rows = 0
-        for part, (_, start, count, lineno) in enumerate(args):
+        for part, (_, _, start, count, lineno) in enumerate(args):
             got = _take(children, part,
                         lambda src: _receive(src, coords[rows:], values[rows:], count))
             if isinstance(got, str):
                 raise CsvFormatError(got)  # the bad line its child met
             if got is None:  # no child, or none that exited 0
                 fh.seek(start)
-                # part 0 forks the others once its first block parses: a bad line there forks none
-                then = (lambda: _fork_parts(children, _parse_part, args)) if part == 0 else None
-                got = _parse(path, fh, count, coords[rows:], values[rows:], lineno, then)
+                got = _parse(path, fh, count, coords[rows:], values[rows:], lineno)
             rows += got
     finally:
         _reap(children)
@@ -292,16 +292,16 @@ def _take(children: dict, part: int, read):
                 return read(out)
 
 
-def _parse_part(path, start: int, count: int, lineno: int) -> tuple:
-    """A child's pieces for ``count`` lines from byte ``start``, the first of them
-    line ``lineno``: their row count and rows, or the text of the CsvFormatError
+def _parse_part(path, fh, start: int, count: int, lineno: int) -> tuple:
+    """A child's pieces for ``count`` lines of fh from byte ``start``, the first of
+    them line ``lineno``: their row count and rows, or the text of the CsvFormatError
     it meets behind a row count past the part."""
     coords, values = np.empty((count, 2)), np.empty(count, complex)
-    # its own file offset: a forked handle shares the parent's
-    with open(path, errors="replace", newline="") as fh:
-        fh.seek(start)
+    # fh's file, not path's, with its own offset: a forked handle shares the parent's
+    with open(f"/proc/self/fd/{fh.fileno()}", errors="replace", newline="") as own:
+        own.seek(start)
         try:
-            rows = _parse(path, fh, count, coords, values, lineno)
+            rows = _parse(path, own, count, coords, values, lineno)
         except CsvFormatError as err:  # fsencode: the path in it may hold bytes that are not UTF-8
             return (count + 1).to_bytes(8, "little"), os.fsencode(str(err))
     return rows.to_bytes(8, "little"), coords[:rows], values[:rows]

@@ -385,6 +385,17 @@ class TestTransformCommand:
                        "--grid=-1,1,4;-1,1,4", "--out", str(tmp_path / "o.csv")) == 2
         assert capsys.readouterr().err == f"transform error: {inpath}: {error}\n"
 
+    def test_a_first_line_with_no_end_is_echoed_in_part(self, tmp_path, capsys):
+        # line 1 is read to at most a few KiB: a 20 MB file with no line end
+        # gives one short error line, not one that echoes the file
+        inpath = tmp_path / "one-line.csv"
+        inpath.write_bytes(b"0," * 10_000_000)
+        assert run_cli("transform", "--in", str(inpath), "--direction", "forward",
+                       "--grid=-1,1,4;-1,1,4", "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 8192
+        assert f"{inpath}: line 1: expected header 'p,q,re,im', got '0,0,0," in err
+
     def test_bad_grid_spec_is_usage_error(self, tmp_path, rng):
         _, inpath = self.write_input(tmp_path, rng)
         assert run_cli("transform", "--in", str(inpath), "--direction", "forward",

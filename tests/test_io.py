@@ -2,6 +2,7 @@ import io
 import os
 import signal
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -74,10 +75,12 @@ class TestFieldCsv:
         with pytest.raises(CsvFormatError, match="empty file"):
             read_field_csv(path)
 
-    def test_wrong_header(self, tmp_path):
+    # a header padded to 4096 characters is read no further, so it is no header
+    @pytest.mark.parametrize("header", ["x,y,re,im", "p,q,re,im" + " " * 4087])
+    def test_wrong_header(self, tmp_path, header):
         path = tmp_path / "bad.csv"
-        path.write_text("x,y,re,im\n0,0,1,0\n")
-        with pytest.raises(CsvFormatError, match="line 1"):
+        path.write_text(header + "\n0,0,1,0\n")
+        with pytest.raises(CsvFormatError, match=": line 1: expected header"):
             read_field_csv(path)
 
     def test_bad_float_reports_line(self, tmp_path, rng):
@@ -745,17 +748,40 @@ class TestSplitRead:
         assert exit_codes == [3, 0]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("row, forks", [(3, 0), (10, 2)], ids=["first-block", "second-block"])
-    def test_a_bad_line_in_part_0s_first_block_forks_nothing(
-            self, tmp_path, monkeypatch, row, forks):
-        # part 0 of 3 holds lines 2 to 401, parsed in blocks of 7 lines
+    @pytest.mark.parametrize("row", [3, 10], ids=["first-block", "second-block"])
+    def test_a_bad_line_in_part_0_is_named_after_every_fork(self, tmp_path, monkeypatch, row):
+        # part 0 of 3 holds lines 2 to 401, parsed in blocks of 7 lines; the
+        # other parts' children are forked before it is parsed
         path = write_text(tmp_path / "f.csv",
                           "p,q,re,im\n" + grid_body(edits=[(row, "0,1_0,1,2")]))
         fork = mock.Mock(side_effect=os.fork)
         monkeypatch.setattr(os, "fork", fork)
         assert read_in_parts(path, 3) == (CsvFormatError, f"{path}: line {row + 2}: could not "
                                           "convert string '1_0' to float64")
-        assert fork.call_count == forks
+        assert fork.call_count == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_an_input_replaced_during_the_read_is_read_as_opened(
+            self, tmp_path, monkeypatch, parts):
+        # v2 has v1's byte layout, with im 5 for 0 on the first and last data
+        # lines, and replaces v1 at its path just before the children fork
+        def version(im):
+            return "p,q,re,im\n" + grid_body(edits=[(0, f"0,0.0,0.0,{im}"),
+                                                     (1199, f"29,9.75,16.0,{im}")])
+
+        path, v2 = tmp_path / "f.csv", tmp_path / "v2.csv"
+        v1 = read_in_parts(write_text(path, version(0)), 1)
+        write_text(v2, version(5))
+        fork_parts = fields_io._fork_parts
+
+        def replace_then_fork(*args):
+            os.replace(v2, path)
+            fork_parts(*args)
+
+        monkeypatch.setattr(fields_io, "_fork_parts", replace_then_fork)
+        assert read_in_parts(path, parts) == v1
+        assert path.read_text() == version(5)
         assert_no_child_left()
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
@@ -807,13 +833,50 @@ class TestSplitRead:
         assert peak <= 2.5 * h.values.nbytes
 
     @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
-    def test_a_pipe_reads_in_one_part(self, tmp_path):
-        r, w = os.pipe()
-        os.write(w, ("p,q,re,im\r\n" + grid_body("\r\n")).encode())
-        os.close(w)
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_a_pipe_reads_in_parts_and_the_caller_holds_none_of_its_bytes(
+            self, tmp_path, rng, exit_codes, parts):
+        # the pipe's bytes go into an in-memory file, which each part reads as a
+        # file's, so the read peaks as a file's does
+        path = tmp_path / "f.csv"
+        write_in_parts(write_field_csv, gaussian_poly_field(square_grid(3, 201), rng), path, 1)
+        fds, data, (r, w) = set(os.listdir("/dev/fd")), path.read_bytes(), os.pipe()
+
+        def feed():  # a pipe holds 64 KiB, so another thread writes it
+            with open(w, "wb") as pipe:
+                pipe.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
         try:
-            got = read_in_parts(f"/dev/fd/{r}", 3)
+            with mock.patch.object(fields_io, "_part_count", lambda body_bytes: parts):
+                tracemalloc.start()
+                try:
+                    h = read_field_csv(f"/dev/fd/{r}")
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
         finally:
             os.close(r)
-        path = write_text(tmp_path / "f.csv", "p,q,re,im\r\n" + grid_body("\r\n"))
-        assert got == read_in_parts(path, 1)
+            writer.join(60)
+        assert not writer.is_alive()
+        assert set(os.listdir("/dev/fd")) == fds  # the in-memory file is closed too
+        assert exit_codes == [0] * (parts - 1)
+        assert (h.grid, h.values.tobytes()) == read_in_parts(path, 1)
+        assert peak <= 2.5 * h.values.nbytes
+
+    @UNCLOSED_FILE_FAILS
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_copy_that_raises_leaves_nothing(self, monkeypatch):
+        r, w = os.pipe()
+        os.write(w, ("p,q,re,im\n" + ROWS_2x2).encode())
+        os.close(w)
+
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(fields_io.shutil, "copyfileobj", no_memory)
+        try:
+            assert_raises_leaving_nothing(MemoryError, read_in_parts, f"/dev/fd/{r}", 3)
+        finally:
+            os.close(r)
