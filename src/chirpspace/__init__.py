@@ -24,6 +24,7 @@ from .fields_io import (
 )
 from .grid import (
     Axis,
+    OperatorKernel,
     PhaseGrid,
     SampledField,
     Signal,
@@ -35,7 +36,6 @@ from .grid import (
 from .hermite import hermite_functions
 from .quantum import (
     HermiteBasis,
-    OperatorKernel,
     char_function_pq,
     char_function_qp,
     kirkwood_pq_closed,

@@ -25,17 +25,19 @@ parsed once, by the process that names its bad line.  Where ``os.fork``,
 ``os.sched_getaffinity`` or ``os.memfd_create`` is missing there is one part.
 Every part of a read reads the caller's open file, which a child reopens as
 ``/proc/self/fd/<fd>``, so a path replaced during the read changes nothing;
-a pipe is first copied into an in-memory file.
+a pipe is copied into an in-memory file once its line 1 has passed.
 
-A line 1 of 4096 or more characters is no header.  Lines end at
-``\\n``, ``\\r\\n`` or a lone ``\\r`` and reach numpy with their ends.  Each
-part goes to ``np.loadtxt`` in blocks of lines, and every cell must be a
-plain, finite number; in a block it rejects, the same parse, line by line,
-names the first bad line (an undecodable byte reads as U+FFFD, which no cell
-parses).  The grid check's tolerances scale with each axis, and an axis whose
-span leaves the float range is named.  Python 3.12 and later warn that a
-``fork`` in a process with threads (OpenBLAS starts some) may deadlock the
-child; the child here runs no BLAS, loads no module and no atexit handler.
+Line 1 is read from at most the input's first 4096 bytes, so a line 1 of
+4096 or more bytes is no header, and a rejected line 1 is echoed to at most
+64 characters.  Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` and reach
+numpy with their ends.  Each part goes to ``np.loadtxt`` in blocks of lines,
+and every cell must be a plain, finite number; in a block it rejects, the
+same parse, line by line, names the first bad line (an undecodable byte
+reads as U+FFFD, which no cell parses).  The grid check's tolerances scale
+with each axis, and an axis whose span leaves the float range is named.
+Python 3.12 and later warn that a ``fork`` in a process with threads
+(OpenBLAS starts some) may deadlock the child; the child here runs no BLAS,
+loads no module and no atexit handler.
 """
 from __future__ import annotations
 
@@ -48,8 +50,7 @@ import warnings
 
 import numpy as np
 
-from .grid import Axis, PhaseGrid, SampledField
-from .quantum import OperatorKernel
+from .grid import Axis, OperatorKernel, PhaseGrid, SampledField
 
 __all__ = ["write_field_csv", "read_field_csv", "write_operator_csv", "read_operator_csv"]
 
@@ -107,18 +108,19 @@ def write_operator_csv(kernel: OperatorKernel, path) -> None:
 def _read(path, header: str) -> tuple[Axis, Axis, np.ndarray]:
     """(outer axis, inner axis, complex values) of a CSV with this header."""
     with open(path, "rb") as src, (src if src.seekable() else _in_memory()) as fb:
-        if fb is not src:  # a pipe: its bytes go into an in-memory file, read as a file is
-            shutil.copyfileobj(src, fb)
-            fb.seek(0)
-        # newline="": a line keeps its end, so the header's bytes are its text's
-        fh = io.TextIOWrapper(fb, errors="replace", newline="")
-        first = fh.readline(4096)  # no header is this long: a line with no end is not read whole
+        fh = io.TextIOWrapper(fb, errors="replace", newline="")  # a line keeps its end
+        head = src.read(4096)  # no header is this long: line 1 is read from these bytes
+        first = head.splitlines(keepends=True)[0] if head else b""  # split as fh splits
+        text = first.decode(fh.encoding, "replace")
         if not first:
             raise CsvFormatError(f"{path}: empty file (line 1: expected header {header})")
-        if len(first) == 4096 or [c.strip() for c in first.split(",")] != header.split(","):
+        if len(first) == 4096 or [c.strip() for c in text.split(",")] != header.split(","):
             raise CsvFormatError(
-                f"{path}: line 1: expected header {header!r}, got {first.strip()!r}")
-        start, end = len(first.encode(fh.encoding)), fb.seek(0, os.SEEK_END)
+                f"{path}: line 1: expected header {header!r}, got {text.strip()[:64]!r}")
+        if fb is not src:  # a pipe whose header passed: into an in-memory file, read as a file is
+            fb.write(head)
+            shutil.copyfileobj(src, fb)
+        start, end = len(first), fb.seek(0, os.SEEK_END)
         bounds = _bounds(fb, start, end, _part_count(end - start))
         counts = [_count_lines(fb, a, b) for a, b in zip(bounds, bounds[1:])]
         # a row per line: blank lines leave unused rows at the end

@@ -1,9 +1,12 @@
-"""Uniform sampling axes, 2D phase-space fields, 1D signals, and weighted norms.
+"""Uniform sampling axes, 2D phase-space fields, 1D signals, operator kernels,
+and weighted norms.
 
 Conventions used throughout the package:
 
 * an ``Axis`` is endpoint-inclusive with samples ``min + k*step``,
   ``step = (max - min)/(n - 1)``;
+* an ``OperatorKernel(axis, values)`` holds an operator H as its position
+  kernel ``values[j, k] = <q_j|H|q_k>``, both indices on one axis;
 * a ``PhaseGrid`` is the tensor product of a momentum-like axis (first
   argument, outer/row index) and a position-like axis (second argument,
   inner/column index), stored row-major;
@@ -22,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "Axis",
+    "OperatorKernel",
     "PhaseGrid",
     "SampledField",
     "Signal",
@@ -150,6 +154,19 @@ class Signal:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.values, (self.axis.n,), "signal"))
+
+
+@dataclass(frozen=True)
+class OperatorKernel:
+    """Position-representation kernel <q1|H|q2>; q1 and q2 both run over
+    ``axis``, so the kernel is square."""
+
+    axis: Axis
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        shape = (self.axis.n, self.axis.n)
+        object.__setattr__(self, "values", _check_values(self.values, shape, "kernel"))
 
 
 def sample_field(fn: Callable, grid: PhaseGrid) -> SampledField:

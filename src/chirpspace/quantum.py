@@ -1,9 +1,9 @@
 """Phase-space representations of operators and states.
 
-An operator H is held as its position kernel <q1|H|q2>, q1 and q2 on one
-axis (continuum normalization, hbar = 1; the discrete cell weight is the
-axis step).  The module provides the mutually inverse maps between kernels and
-phase-space symbols,
+An operator H is held as its position kernel <q1|H|q2>, a ``grid.OperatorKernel``
+with q1 and q2 on one axis (continuum normalization, hbar = 1; the discrete
+cell weight is the axis step).  The module provides the mutually inverse maps
+between kernels and phase-space symbols,
 
     quantize:  <q1|H|q2> = (1/2pi) int dp  h(p, (q1+q2)/2) e^{ i p (q1-q2)}
     symbol:    h(p, q)   =         int du  e^{-i p u} <q + u/2|H|q - u/2>
@@ -38,14 +38,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.linalg.blas import dznrm2, zgemm
 
-from .grid import (
-    Axis,
-    PhaseGrid,
-    SampledField,
-    Signal,
-    _check_values,
-    sample_field,
-)
+from .grid import Axis, OperatorKernel, PhaseGrid, SampledField, Signal, sample_field
 from .hermite import hermite_functions
 from .xform import forward_fast, inverse_fast
 
@@ -74,19 +67,6 @@ __all__ = [
 BOUNDARY_TINY = 1e-12
 # density invariants (Hermiticity, unit trace) and the basis projection residual
 DENSITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class OperatorKernel:
-    """Position-representation kernel <q1|H|q2>; q1 and q2 both run over
-    ``axis``, so the kernel is square."""
-
-    axis: Axis
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        shape = (self.axis.n, self.axis.n)
-        object.__setattr__(self, "values", _check_values(self.values, shape, "kernel"))
 
 
 def validate_density(rho: OperatorKernel) -> None:
@@ -159,13 +139,12 @@ def _antidiagonal_transform(values: np.ndarray, axis: Axis,
     j = np.arange(1 - n, n)[:, None]
     # trapezoid weights per column; a one-sample column (axis end) keeps weight 1
     w = np.where((np.abs(j) == jmax) & (jmax > 0), 0.5, 1.0) * (np.abs(j) <= jmax)
-    padded = np.zeros((n + 1, n + 1), dtype=complex)
-    padded[:n, :n] = values
-    r = np.clip(k0 + j, 0, n - 1)
-    c = np.clip(k0 - j, 0, n - 1)
-    diag = ((1 - s) ** 2 * padded[r, c]
-            + s * (1 - s) * (padded[r + 1, c] + padded[r, c + 1])
-            + s ** 2 * padded[r + 1, c + 1])
+    r, c = np.clip(k0 + j, 0, n - 1), np.clip(k0 - j, 0, n - 1)
+    # a +1 neighbor past the kernel is read only where s = 0 or w = 0: clip it too
+    r1, c1 = np.minimum(r + 1, n - 1), np.minimum(c + 1, n - 1)
+    diag = ((1 - s) ** 2 * values[r, c]
+            + s * (1 - s) * (values[r1, c] + values[r, c1])
+            + s ** 2 * values[r1, c1])
     u = 2.0 * step * j[:, 0]
     return (np.exp(-1j * np.outer(p_out, u)) @ (w * diag)) * 2.0 * step
 

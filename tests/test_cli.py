@@ -396,6 +396,18 @@ class TestTransformCommand:
         assert err.count("\n") == 1 and len(err.encode()) < 8192
         assert f"{inpath}: line 1: expected header 'p,q,re,im', got '0,0,0," in err
 
+    def test_a_first_line_of_nul_bytes_is_echoed_in_64_characters(self, tmp_path, capsys):
+        # each NUL echoes as four characters, \x00: the echo is cut to 64
+        # characters before its repr, so the line stays under 1 KiB
+        inpath = tmp_path / "zeros.csv"
+        inpath.write_bytes(bytes(4096))
+        assert run_cli("transform", "--in", str(inpath), "--direction", "forward",
+                       "--grid=-1,1,4;-1,1,4", "--out", str(tmp_path / "o.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        assert err == (f"transform error: {inpath}: line 1: expected header 'p,q,re,im', "
+                       f"got {chr(0) * 64!r}\n")
+
     def test_bad_grid_spec_is_usage_error(self, tmp_path, rng):
         _, inpath = self.write_input(tmp_path, rng)
         assert run_cli("transform", "--in", str(inpath), "--direction", "forward",

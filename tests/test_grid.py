@@ -1,9 +1,15 @@
+import ast
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import chirpspace
 from chirpspace import (
+    OperatorKernel,
     PhaseGrid,
     SampledField,
     make_axis,
@@ -185,3 +191,78 @@ class TestFieldValidation:
         vals[2, 2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             SampledField(square_grid(1, 4), vals)
+
+
+class TestOperatorKernel:
+    def test_one_class_under_every_name(self):
+        from chirpspace import grid, quantum
+        assert grid.OperatorKernel is quantum.OperatorKernel is chirpspace.OperatorKernel
+
+    def test_a_pickle_naming_quantum_loads(self):
+        K = OperatorKernel(make_axis(-1, 1, 3), np.arange(9.0).reshape(3, 3) * 1j)
+        # protocol 2 names a class as "module\nname\n", so the module can be swapped
+        old = pickle.dumps(K, protocol=2).replace(b"chirpspace.grid\n", b"chirpspace.quantum\n")
+        assert b"chirpspace.quantum\nOperatorKernel" in old
+        back = pickle.loads(old)
+        assert type(back) is OperatorKernel
+        assert back.axis == K.axis and np.array_equal(back.values, K.values)
+
+    def test_values_are_checked_and_frozen(self):
+        with pytest.raises(ValueError, match="kernel values shape"):
+            OperatorKernel(make_axis(-1, 1, 3), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="kernel contains non-finite"):
+            OperatorKernel(make_axis(-1, 1, 2), np.array([[1, np.nan], [0, 0]]))
+        assert not OperatorKernel(make_axis(-1, 1, 2), np.eye(2)).values.flags.writeable
+
+
+def package_imports(sources: dict) -> list:
+    """(module, package module, names) for each import of a package module in
+    ``sources``, which maps module names to their text; names is empty for a
+    plain ``import``."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "chirpspace"):
+                target = (node.module or "").removeprefix("chirpspace").lstrip(".")
+                if target:
+                    found.append((module, target, [a.name for a in node.names]))
+                else:  # "from . import grid": each name is a module
+                    found += [(module, a.name, []) for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(module, a.name.removeprefix("chirpspace").lstrip("."), [])
+                          for a in node.names if a.name.split(".")[0] == "chirpspace"]
+    return found
+
+
+def fields_io_imports(imports: list) -> set:
+    return {target for module, target, _ in imports if module == "fields_io"}
+
+
+def private_grid_names(imports: list) -> list:
+    return [(module, name) for module, target, names in imports
+            if module != "grid" and target == "grid" for name in names if name.startswith("_")]
+
+
+class TestImportLayers:
+    """fields_io imports nothing of the package but grid, and no module outside
+    grid imports a grid name that starts with an underscore."""
+
+    imports = package_imports({path.stem: path.read_text()
+                               for path in Path(chirpspace.__file__).parent.glob("*.py")})
+
+    def test_fields_io_imports_only_grid(self):
+        assert fields_io_imports(self.imports) == {"grid"}
+
+    def test_no_module_outside_grid_imports_a_private_grid_name(self):
+        assert private_grid_names(self.imports) == []
+
+    def test_the_rules_see_each_import_form(self):
+        imports = package_imports({
+            "fields_io": "from .grid import Axis\nfrom .quantum import OperatorKernel\n"
+                         "from . import xform\nimport chirpspace.suites\nimport os\n",
+            "quantum": "from .grid import (\n    Axis,\n    _check_values,\n)\n",
+            "grid": "from chirpspace.grid import _check_values\n",
+        })
+        assert fields_io_imports(imports) == {"grid", "quantum", "xform", "suites"}
+        assert private_grid_names(imports) == [("quantum", "_check_values")]

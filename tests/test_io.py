@@ -865,6 +865,33 @@ class TestSplitRead:
         assert (h.grid, h.values.tobytes()) == read_in_parts(path, 1)
         assert peak <= 2.5 * h.values.nbytes
 
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_whose_line_1_fails_is_not_copied(self):
+        # line 1 is read from the pipe's first 4096 bytes, so 8 MiB of NUL bytes
+        # are rejected after about 4 KiB and the 64 KiB the pipe holds are taken
+        r, w = os.pipe()
+        taken = []
+
+        def feed():
+            try:
+                for _ in range(2048):
+                    taken.append(os.write(w, bytes(4096)))
+            except BrokenPipeError:  # the reader closed its end
+                pass
+            finally:
+                os.close(w)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with pytest.raises(CsvFormatError, match=f"^/dev/fd/{r}: line 1: expected header"):
+                read_field_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+            writer.join(60)
+        assert not writer.is_alive()
+        assert 4096 <= sum(taken) < 1 << 20
+
     @UNCLOSED_FILE_FAILS
     @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
     def test_a_pipe_copy_that_raises_leaves_nothing(self, monkeypatch):

@@ -32,7 +32,7 @@ from chirpspace import (
     wigner_to_kirkwood_residual,
 )
 
-from chirpspace.quantum import _exp_qp, _project_density
+from chirpspace.quantum import _antidiagonal_transform, _exp_qp, _project_density
 from conftest import (
     naive_char_function,
     naive_weyl_quantize,
@@ -297,6 +297,25 @@ class TestWeylSymbol:
         K, grid = case
         ref = naive_weyl_symbol(K.values, K.axis, grid.p_axis.values, grid.q_axis.values)
         assert_close(weyl_symbol(K, grid).values, ref)
+
+    @given(kernel_cases())
+    def test_reads_the_kernel_as_a_zero_padded_copy_does(self, case):
+        # the +1 neighbors are clipped to the kernel where a padded (n+1)^2 copy
+        # read its zero rim; the rim is read only with coefficient 0 (s = 0) or
+        # weight 0 (|j| > jmax), so the two reads agree exactly
+        K, grid = case
+        n, (p, q) = K.axis.n, (grid.p_axis.values, grid.q_axis.values)
+        padded = np.zeros((n + 1, n + 1), complex)
+        padded[:n, :n] = K.values
+        k0, s = K.axis.cell(q)
+        jmax = np.minimum(k0, n - 1 - k0 - (s > 0.0))
+        j = np.arange(1 - n, n)[:, None]
+        w = np.where((np.abs(j) == jmax) & (jmax > 0), 0.5, 1.0) * (np.abs(j) <= jmax)
+        r, c = np.clip(k0 + j, 0, n - 1), np.clip(k0 - j, 0, n - 1)
+        diag = ((1 - s) ** 2 * padded[r, c] + s * (1 - s) * (padded[r + 1, c] + padded[r, c + 1])
+                + s ** 2 * padded[r + 1, c + 1])
+        ref = (np.exp(-1j * np.outer(p, 2.0 * K.axis.step * j[:, 0])) @ (w * diag)) * 2.0 * K.axis.step
+        assert np.array_equal(_antidiagonal_transform(K.values, K.axis, p, q), ref)
 
 
 class TestMixedMatrixElement:

@@ -299,6 +299,91 @@ class TestFullScaleCovariance:
         self.assert_close(forward_fast(SampledField(grid, h.values.T), out).values, f.T)
 
 
+PATHS = {"direct": (forward_direct, inverse_direct), "fast": (forward_fast, inverse_fast)}
+
+
+@st.composite
+def off_centre_grid(draw):
+    """A grid of 8-40 by 8-40 nodes, never square, whose bounds need not straddle 0."""
+    n_p, n_q = draw(st.integers(8, 40)), draw(st.integers(8, 39))
+    n_q += n_q >= n_p
+    lo_p, lo_q = draw(st.floats(-4.0, 2.0)), draw(st.floats(-4.0, 2.0))
+    return PhaseGrid(make_axis(lo_p, lo_p + draw(st.floats(0.5, 6.0)), n_p),
+                     make_axis(lo_q, lo_q + draw(st.floats(0.5, 6.0)), n_q))
+
+
+@st.composite
+def covariance_cases(draw):
+    """Random complex values on an off-centre grid, and an off-centre output grid."""
+    grid, out = draw(off_centre_grid()), draw(off_centre_grid())
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SampledField(grid, r.standard_normal(grid.shape)
+                        + 1j * r.standard_normal(grid.shape)), out
+
+
+def sum_scale(h):
+    """sum |w h| / pi: the size of the transform's sum, which bounds its rounding."""
+    return h.grid.p_axis.weights @ np.abs(h.values) @ h.grid.q_axis.weights / np.pi
+
+
+def conjugation_miss(forward, inverse, h, out):
+    """max |conj T[h] - T^-1[conj h]| over the sum's size."""
+    inv = inverse(SampledField(h.grid, np.conj(h.values)), out).values
+    return np.abs(np.conj(forward(h, out).values) - inv).max() / sum_scale(h)
+
+
+@pytest.mark.parametrize("path", ["direct", "fast"])
+class TestCovarianceRelations:
+    """Exact symmetries of the discrete sum.  Each holds term by term, so it
+    holds for any values, decayed or not, on any grids, to rounding; a square,
+    centred grid would hide an axis read from the other axis, a transposed
+    output or a dropped conjugate.  Misses are measured against sum|w h|/pi,
+    since an undecayed field can make max|f| small where the sum is large."""
+
+    @staticmethod
+    def assert_close(got, ref, h):
+        assert np.abs(got - ref).max() <= 1e-12 * sum_scale(h)
+
+    @given(case=covariance_cases(), a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0))
+    def test_modulation_shifts_and_phases(self, path, case, a, b):
+        # 2(p - x)(q - y) + ap + bq = 2(p - x')(q - y') + ax + by - ab/2 with
+        # x' = x - b/2 and y' = y - a/2, term by term
+        h, out = case
+        forward, x, y = PATHS[path][0], out.p_axis, out.q_axis
+        P, Q = h.grid.meshes()
+        X, Y = out.meshes()
+        shifted = PhaseGrid(make_axis(x.min - b / 2, x.max - b / 2, x.n),
+                            make_axis(y.min - a / 2, y.max - a / 2, y.n))
+        ref = np.exp(1j * (a * X + b * Y - a * b / 2)) * forward(h, shifted).values
+        modulated = SampledField(h.grid, np.exp(1j * (a * P + b * Q)) * h.values)
+        self.assert_close(forward(modulated, out).values, ref, h)
+
+    @given(case=covariance_cases())
+    def test_swapping_the_axes_transposes(self, path, case):
+        h, out = case
+        swapped = SampledField(PhaseGrid(h.grid.q_axis, h.grid.p_axis), h.values.T)
+        for op in PATHS[path]:
+            got = op(swapped, PhaseGrid(out.q_axis, out.p_axis)).values
+            self.assert_close(got, op(h, out).values.T, h)
+
+    @given(case=covariance_cases())
+    def test_conjugation_inverts(self, path, case):
+        h, out = case
+        assert conjugation_miss(*PATHS[path], h, out) <= 1e-12
+
+
+def test_conjugation_catches_a_dropped_outer_conj(rng):
+    # inverse_direct without its outer np.conj is the conjugate of inverse_direct
+    def mutant(f, out):
+        return SampledField(out, np.conj(inverse_direct(f, out).values))
+
+    grid = PhaseGrid(make_axis(-1.5, 3.0, 23), make_axis(0.5, 4.0, 31))
+    out = PhaseGrid(make_axis(-2.0, 1.0, 17), make_axis(1.0, 2.5, 9))
+    h = SampledField(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    assert conjugation_miss(forward_direct, inverse_direct, h, out) <= 1e-12
+    assert conjugation_miss(forward_direct, mutant, h, out) > 1e-3
+
+
 class TestParseval:
     def test_gaussian(self):
         h = gaussian_field(square_grid(6, 128))
