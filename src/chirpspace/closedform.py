@@ -148,7 +148,9 @@ _TAPER_SLOPE = 8.8
 def _taper(n_terms: int) -> np.ndarray:
     nmax = n_terms - 1
     n0 = int(_TAPER_KEEP * nmax)
-    s = max((nmax - n0) / _TAPER_SLOPE, 1e-9)
+    if n0 == nmax:  # one term: nothing to roll off, so it keeps its full weight
+        return np.ones(n_terms)
+    s = (nmax - n0) / _TAPER_SLOPE
     return np.array([1.0 if k < n0 else 0.5 * math.erfc((k - (n0 + nmax) / 2.0) / s)
                      for k in range(n_terms)])
 
@@ -165,6 +167,8 @@ def frft_kernel_hermite(alpha: float, x, y, n_terms: int):
     the Hermite tables at n_terms x len(xs) and n_terms x len(ys).
     """
     alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     nmax = n_terms - 1

@@ -1,5 +1,5 @@
 """Uniform sampling axes, 2D phase-space fields, 1D signals, operator kernels,
-and weighted norms.
+oscillator basis tables, and weighted norms.
 
 Conventions used throughout the package:
 
@@ -7,6 +7,8 @@ Conventions used throughout the package:
   ``step = (max - min)/(n - 1)``;
 * an ``OperatorKernel(axis, values)`` holds an operator H as its position
   kernel ``values[j, k] = <q_j|H|q_k>``, both indices on one axis;
+* a ``HermiteBasis(axis, table)`` holds the oscillator eigenfunctions
+  ``table[n, k] = psi_n(q_k)``, one real row per n = 0..n_max;
 * a ``PhaseGrid`` is the tensor product of a momentum-like axis (first
   argument, outer/row index) and a position-like axis (second argument,
   inner/column index), stored row-major;
@@ -25,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "Axis",
+    "HermiteBasis",
     "OperatorKernel",
     "PhaseGrid",
     "SampledField",
@@ -124,8 +127,9 @@ class PhaseGrid:
         return np.meshgrid(self.p_axis.values, self.q_axis.values, indexing="ij")
 
 
-def _check_values(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=complex)
+def _check_values(values: np.ndarray, shape: tuple[int, ...], what: str,
+                  dtype=complex) -> np.ndarray:
+    arr = np.ascontiguousarray(values, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"{what} values shape {arr.shape} does not match {shape}")
     if not np.all(np.isfinite(arr)):  # False where either part is NaN or infinite
@@ -165,8 +169,23 @@ class OperatorKernel:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        shape = (self.axis.n, self.axis.n)
-        object.__setattr__(self, "values", _check_values(self.values, shape, "kernel"))
+        object.__setattr__(self, "values", _check_values(self.values, (self.axis.n,) * 2, "kernel"))
+
+
+@dataclass(frozen=True)
+class HermiteBasis:
+    """Oscillator eigenfunctions psi_n tabulated on an axis, one real row per n = 0..n_max."""
+
+    axis: Axis
+    table: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        shape = (max(np.shape(self.table)[:1] + (1,)), self.axis.n)  # one row or more
+        object.__setattr__(self, "table", _check_values(self.table, shape, "basis table", float))
+
+    @property
+    def n_max(self) -> int:
+        return self.table.shape[0] - 1
 
 
 def sample_field(fn: Callable, grid: PhaseGrid) -> SampledField:

@@ -1,9 +1,10 @@
 """Phase-space representations of operators and states.
 
 An operator H is held as its position kernel <q1|H|q2>, a ``grid.OperatorKernel``
-with q1 and q2 on one axis (continuum normalization, hbar = 1; the discrete
-cell weight is the axis step).  The module provides the mutually inverse maps
-between kernels and phase-space symbols,
+with q1 and q2 on one axis (continuum normalization, hbar = 1; a sum over the
+axis, a trace included, takes ``Axis.weights``, and a point read off the axis
+must lie on it as ``Axis.cell`` snaps it, or is rejected).  The module provides
+the mutually inverse maps between kernels and phase-space symbols,
 
     quantize:  <q1|H|q2> = (1/2pi) int dp  h(p, (q1+q2)/2) e^{ i p (q1-q2)}
     symbol:    h(p, q)   =         int du  e^{-i p u} <q + u/2|H|q - u/2>
@@ -31,14 +32,13 @@ The headline consistency identity tying this module to the chirp transform:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.linalg.blas import dznrm2, zgemm
 
-from .grid import Axis, OperatorKernel, PhaseGrid, SampledField, Signal, sample_field
+from .grid import Axis, HermiteBasis, OperatorKernel, PhaseGrid, SampledField, Signal, sample_field
 from .hermite import hermite_functions
 from .xform import forward_fast, inverse_fast
 
@@ -64,7 +64,7 @@ __all__ = [
     "char_function_pq",
 ]
 
-BOUNDARY_TINY = 1e-12
+BOUNDARY_TINY = 1e-12  # relative to max|h|
 # density invariants (Hermiticity, unit trace) and the basis projection residual
 DENSITY_TOL = 1e-8
 
@@ -74,34 +74,15 @@ def validate_density(rho: OperatorKernel) -> None:
     herm = np.abs(rho.values - rho.values.conj().T).max()
     if herm > DENSITY_TOL:
         raise ValueError(f"density operator not Hermitian: asymmetry {herm:.3g} > {DENSITY_TOL:g}")
-    tr = rho.axis.step * np.trace(rho.values)
+    tr = rho.axis.weights @ np.diagonal(rho.values)
     if abs(tr - 1.0) > DENSITY_TOL:
         raise ValueError(f"density operator trace {tr:.6g} differs from 1 by > {DENSITY_TOL:g}")
-
-
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Oscillator eigenfunctions psi_n tabulated on an axis, one row per n = 0..n_max."""
-
-    axis: Axis
-    table: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.table, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != self.axis.n:
-            raise ValueError(f"basis table shape {arr.shape} is not (n_max + 1, {self.axis.n})")
-        arr.setflags(write=False)
-        object.__setattr__(self, "table", arr)
-
-    @property
-    def n_max(self) -> int:
-        return self.table.shape[0] - 1
 
 
 def make_hermite_basis(n_max: int, axis: Axis) -> HermiteBasis:
     """Tabulate psi_0..psi_{n_max} on the axis.
 
-    Discrete orthonormality (step * sum psi_m psi_n = delta_mn) holds once
+    Discrete orthonormality (sum_k w_k psi_m psi_n = delta_mn, w = Axis.weights) holds once
     the axis covers roughly [-sqrt(2 n_max) - 4, sqrt(2 n_max) + 4] and the
     step resolves the fastest oscillation.
     """
@@ -111,13 +92,15 @@ def make_hermite_basis(n_max: int, axis: Axis) -> HermiteBasis:
 # ---------------------------------------------------------------------------
 # interpolation helpers
 
-def _check_within(axis: Axis, lo: float, hi: float, what: str, where: str) -> None:
-    """Reject a requested range [lo, hi] that leaves the axis (1e-12 slack) or is NaN."""
-    if not (axis.min - 1e-12 <= lo and hi <= axis.max + 1e-12):
-        raise ValueError(
-            f"{what} [{lo}, {hi}] outside the {where} [{axis.min}, {axis.max}], "
-            "which is too small"
-        )
+def _cell_on(axis: Axis, at, what: str, where: str):
+    """``axis.cell(at)``, if every point is finite and on the axis (0 <= s <= 1)."""
+    at = np.asarray(at, dtype=float)
+    if np.isfinite(at).all():  # cell casts to int, which NaN and inf cannot take
+        i, s = axis.cell(at)
+        if ((s >= 0.0) & (s <= 1.0)).all():
+            return i, s
+    raise ValueError(f"{what} [{at.min()}, {at.max()}] outside the {where} "
+                     f"[{axis.min}, {axis.max}], which is too small")
 
 
 def _antidiagonal_transform(values: np.ndarray, axis: Axis,
@@ -132,8 +115,7 @@ def _antidiagonal_transform(values: np.ndarray, axis: Axis,
     matrix then contracts.
     """
     n, step = axis.n, axis.step
-    _check_within(axis, q_out.min(), q_out.max(), "requested q-range", "kernel axis")
-    k0, s = axis.cell(q_out)
+    k0, s = _cell_on(axis, q_out, "requested q-range", "kernel axis")
     # a fractional q also reads row/column k0 + 1
     jmax = np.minimum(k0, n - 1 - k0 - (s > 0.0))
     j = np.arange(1 - n, n)[:, None]
@@ -174,25 +156,25 @@ def weyl_quantize(h: SampledField, axis: Axis) -> OperatorKernel:
     differences: the symbol is Fourier-transformed along p once onto those
     differences, and each (q1, q2) reads its difference row there, with the
     midpoint column read by linear interpolation in q (exact when midpoints
-    land on symbol nodes).  A symbol that has not decayed at the p-boundary
+    land on symbol nodes).  A p-boundary magnitude above BOUNDARY_TINY max|h|
     degrades accuracy and is reported as a warning, not an error.
     """
     ax_p, ax_q = h.grid.p_axis, h.grid.q_axis
-    edge = max(np.abs(h.values[0, :]).max(), np.abs(h.values[-1, :]).max())
-    if edge > BOUNDARY_TINY:
+    mag = np.abs(h.values)
+    edge = mag[[0, -1]].max()
+    if edge > BOUNDARY_TINY * mag.max():
         warnings.warn(
-            f"symbol magnitude {edge:.3g} at the p-boundary exceeds {BOUNDARY_TINY:g}; "
-            "p-truncation may dominate the quantization error",
+            f"symbol magnitude {edge:.3g} at the p-boundary exceeds {BOUNDARY_TINY:g} "
+            f"of max|h| = {mag.max():.3g}; p-truncation may dominate the quantization error",
             stacklevel=2,
         )
     n, q = axis.n, axis.values
-    _check_within(ax_q, q[0], q[-1], "midpoints", "symbol q-range")
+    j0, s = _cell_on(ax_q, (q[:, None] + q[None, :]) / 2.0, "midpoints", "symbol q-range")
     d = axis.step * np.arange(1 - n, n)
     wh = ax_p.weights[:, None] * h.values
     F = (np.exp(1j * np.outer(d, ax_p.values)) @ wh) / (2.0 * np.pi)
     i = np.arange(n)
     row = i[:, None] - i[None, :] + n - 1
-    j0, s = ax_q.cell((q[:, None] + q[None, :]) / 2.0)
     vals = F[row, j0] * (1.0 - s) + F[row, j0 + 1] * s
     return OperatorKernel(axis, vals)
 
@@ -234,9 +216,7 @@ def _dense_fourier(axis: Axis, a: np.ndarray, xs) -> np.ndarray:
 
 def _mixed_grid(H: OperatorKernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ax = H.axis
-    ys = np.asarray(ys, dtype=float)
-    _check_within(ax, ys.min(), ys.max(), "y", "kernel axis")
-    i, s = ax.cell(ys)
+    i, s = _cell_on(ax, ys, "y", "kernel axis")
     iy = i + (s > 0.5)
     return _dense_fourier(ax, H.values[:, iy], xs)
 
@@ -337,10 +317,8 @@ def kirkwood_qp_closed(psi: Signal, p, q):
     rejected, not extrapolated.
     """
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _check_within(psi.axis, q.min(), q.max(), "q", "signal axis")
+    i, s = _cell_on(psi.axis, q, "q", "signal axis")
     ft = _dense_fourier(psi.axis, psi.values, p.ravel()).reshape(p.shape)
-    i, s = psi.axis.cell(q)
     pq = (1.0 - s) * psi.values[i] + s * psi.values[i + 1]
     out = np.conj(pq) * ft * np.exp(1j * p * q) / np.sqrt(2.0 * np.pi)
     return complex(out) if out.ndim == 0 else out

@@ -27,9 +27,9 @@ input grid, with w_jk = ``p.weights[j] * q.weights[k]`` (steps included):
   lattice step from ``Axis.step``.
 
 Accuracy presumes the caller truncated the plane so |h| at the grid boundary
-is negligible (<= 1e-12 for the stated tolerances) and the grid resolves the
-exp(2ipq) chirp (step_q <= pi / (2 max|p|) and symmetrically).  Neither is
-enforced here.
+is negligible (<= 1e-12 relative to max|h| for the stated tolerances) and the
+grid resolves the exp(2ipq) chirp (step_q <= pi / (2 max|p|) and
+symmetrically).  Neither is enforced here.
 """
 from __future__ import annotations
 

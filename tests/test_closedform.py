@@ -171,6 +171,18 @@ class TestHermiteOracle:
         with pytest.raises(ValueError, match="n_terms"):
             frft_kernel_hermite(1.0, 0.0, 0.0, 0)
 
+    def test_one_term_keeps_its_full_weight(self):
+        # the one-term taper was [0.5], which halved psi_0(x) psi_0(y)
+        x = np.linspace(-2, 2, 9)
+        psi0 = hermite_functions(0, x)[0]
+        s = frft_kernel_hermite(0.7, x[:, None], x[None, :], 1)
+        assert np.array_equal(s, np.outer(psi0, psi0).astype(complex))
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_angle(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            frft_kernel_hermite(alpha, 0.0, 0.0, 10)
+
 
 class TestChirpletIdentity:
     def out_grid(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -33,6 +35,7 @@ from chirpspace import (
 )
 
 from chirpspace.quantum import _antidiagonal_transform, _exp_qp, _project_density
+from chirpspace.suites import _weyl_test_symbol
 from conftest import (
     naive_char_function,
     naive_weyl_quantize,
@@ -210,6 +213,20 @@ class TestWeylQuantize:
         ax = make_axis(-1, 1, 17)
         with pytest.warns(UserWarning, match="p-boundary"):
             weyl_quantize(h, ax)
+
+    def test_a_decayed_symbol_does_not_warn_at_any_scale(self):
+        # the weyl suite's symbol and grids; its p-boundary is 3e-14 of max|h|
+        grid = PhaseGrid(make_axis(-8, 8, 161), make_axis(-9, 9, 289))
+        h = sample_field(lambda P, Q: 1e13 * _weyl_test_symbol(P, Q), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weyl_quantize(h, OP_AXIS)
+
+    def test_a_flat_symbol_warns_at_any_scale(self):
+        grid = PhaseGrid(make_axis(-8, 8, 161), make_axis(-9, 9, 289))
+        h = sample_field(lambda P, Q: np.full(P.shape, 1e-13), grid)
+        with pytest.warns(UserWarning, match="p-boundary"):
+            weyl_quantize(h, OP_AXIS)
 
     def test_rejects_midpoints_outside_symbol_range(self):
         grid = PhaseGrid(make_axis(-8, 8, 65), make_axis(-2, 2, 65))
@@ -463,6 +480,15 @@ class TestDensityValidation:
         with pytest.raises(ValueError, match="trace"):
             validate_density(OperatorKernel(OP_AXIS, vals))
 
+    def test_trace_is_the_trapezoid_rule(self):
+        # psi = 1/sqrt(sum w) has trapezoid trace 1, where step * sum diag reads 1.1
+        ax = make_axis(0.0, 1.0, 11)
+        psi = np.full(ax.n, 1.0 / np.sqrt(ax.weights.sum()))
+        rho = np.outer(psi, psi).astype(complex)
+        validate_density(OperatorKernel(ax, rho))
+        with pytest.raises(ValueError, match="trace"):
+            validate_density(OperatorKernel(ax, 2.0 * rho))
+
 
 class TestKirkwoodClosed:
     def test_ground_state_value(self):
@@ -537,6 +563,36 @@ class TestKirkwoodClosed:
             fn(state_signal(0), p, 0.0)
         with pytest.raises(ValueError, match=f"frequency {p} is not finite"):
             fn(state_signal(0), np.array([0.5, p]), np.zeros(2))
+
+class TestOnTheAxis:
+    """A point read off an axis is on it exactly when ``Axis.cell`` puts it
+    there (0 <= s <= 1), at any scale of the axis."""
+
+    def test_a_point_past_the_end_of_a_tiny_axis_is_rejected(self):
+        # 5e-13 past [0, 1e-9] is half a percent of a cell, not rounding
+        ax = make_axis(0.0, 1e-9, 11)
+        past = ax.max + 5e-13
+        with pytest.raises(ValueError, match="outside the signal axis"):
+            kirkwood_qp_closed(Signal(ax, np.ones(ax.n)), 0.0, past)
+        with pytest.raises(ValueError, match="outside the kernel axis"):
+            mixed_matrix_element(OperatorKernel(ax, np.eye(ax.n)), 0.0, past)
+
+    def test_a_point_one_ulp_past_the_end_of_a_far_axis_reads_the_last_node(self):
+        ax = make_axis(1e6, 1e6 + 10.0, 11)
+        past = np.nextafter(ax.max, np.inf)
+        i, s = ax.cell(past)
+        assert (i, s) == (ax.n - 2, 1.0)
+        psi = Signal(ax, random_complex(2, ax.n))
+        assert kirkwood_qp_closed(psi, 0.0, past) == kirkwood_qp_closed(psi, 0.0, ax.max)
+        K = OperatorKernel(ax, random_complex(3, (ax.n, ax.n)))
+        assert mixed_matrix_element(K, 0.5, past) == mixed_matrix_element(K, 0.5, ax.max)
+
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_point_is_rejected_before_it_is_cast(self, y):
+        # RuntimeWarnings are errors here, so a cast of NaN or inf would fail otherwise
+        with pytest.raises(ValueError, match="outside the kernel axis"):
+            mixed_matrix_element(projector_kernel(0), 0.0, y)
+
 
 class TestWignerToKirkwood:
     def test_residuals_ground_and_excited(self):
@@ -671,5 +727,18 @@ class TestHermiteBasis:
 
     @pytest.mark.parametrize("shape", [(4, 240), (4, 242), (241,), (0, 241)])
     def test_rejects_a_table_that_does_not_fit_the_axis(self, shape):
-        with pytest.raises(ValueError, match="basis table shape"):
+        with pytest.raises(ValueError, match="basis table values shape"):
             HermiteBasis(CHAR_AXIS, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_table(self, bad):
+        # one NaN made char_function_qp return nan+nanj without raising
+        table = make_hermite_basis(4, CHAR_AXIS).table.copy()
+        table[2, 100] = bad
+        with pytest.raises(ValueError, match="basis table contains non-finite"):
+            HermiteBasis(CHAR_AXIS, table)
+
+    def test_one_class_under_every_name(self):
+        import chirpspace
+        from chirpspace import grid, quantum
+        assert grid.HermiteBasis is quantum.HermiteBasis is chirpspace.HermiteBasis

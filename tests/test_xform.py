@@ -326,10 +326,56 @@ def sum_scale(h):
     return h.grid.p_axis.weights @ np.abs(h.values) @ h.grid.q_axis.weights / np.pi
 
 
+def shifted(grid, dp, dq):
+    """The grid with its p bounds moved by dp and its q bounds by dq."""
+    p, q = grid.p_axis, grid.q_axis
+    return PhaseGrid(make_axis(p.min + dp, p.max + dp, p.n), make_axis(q.min + dq, q.max + dq, q.n))
+
+
+def mirrored(grid):
+    """The grid reflected through the origin: each axis runs from -max to -min."""
+    p, q = grid.p_axis, grid.q_axis
+    return PhaseGrid(make_axis(-p.max, -p.min, p.n), make_axis(-q.max, -q.min, q.n))
+
+
+def miss(got, ref, h):
+    return np.abs(got - ref).max() / sum_scale(h)
+
+
+def modulation_miss(forward, h, out, a, b):
+    """max |T[e^{i(ap + bq)} h] - e^{i(ax + by - ab/2)} T[h](x - b/2, y - a/2)|
+    over the sum's size: 2(p - x)(q - y) + ap + bq = 2(p - x')(q - y') + ax +
+    by - ab/2 with x' = x - b/2 and y' = y - a/2, term by term."""
+    P, Q = h.grid.meshes()
+    X, Y = out.meshes()
+    ref = np.exp(1j * (a * X + b * Y - a * b / 2)) * forward(h, shifted(out, -b / 2, -a / 2)).values
+    modulated = SampledField(h.grid, np.exp(1j * (a * P + b * Q)) * h.values)
+    return miss(forward(modulated, out).values, ref, h)
+
+
+def translation_miss(op, h, out, p0, q0):
+    """Shifting the input grid and the output grid by the same (p0, q0) keeps
+    every p - x and q - y, so every value."""
+    moved = SampledField(shifted(h.grid, p0, q0), h.values)
+    return miss(op(moved, shifted(out, p0, q0)).values, op(h, out).values, h)
+
+
+def swap_miss(op, h, out):
+    """T[h^T] on the swapped output grid is T[h]^T."""
+    swapped = SampledField(PhaseGrid(h.grid.q_axis, h.grid.p_axis), h.values.T)
+    return miss(op(swapped, PhaseGrid(out.q_axis, out.p_axis)).values, op(h, out).values.T, h)
+
+
+def parity_miss(op, h, out):
+    """h(-p, -q) on the mirrored grid gives f(-x, -y) on the mirrored output grid."""
+    mirror = SampledField(mirrored(h.grid), h.values[::-1, ::-1])
+    return miss(op(mirror, mirrored(out)).values, op(h, out).values[::-1, ::-1], h)
+
+
 def conjugation_miss(forward, inverse, h, out):
     """max |conj T[h] - T^-1[conj h]| over the sum's size."""
     inv = inverse(SampledField(h.grid, np.conj(h.values)), out).values
-    return np.abs(np.conj(forward(h, out).values) - inv).max() / sum_scale(h)
+    return miss(np.conj(forward(h, out).values), inv, h)
 
 
 @pytest.mark.parametrize("path", ["direct", "fast"])
@@ -340,31 +386,24 @@ class TestCovarianceRelations:
     output or a dropped conjugate.  Misses are measured against sum|w h|/pi,
     since an undecayed field can make max|f| small where the sum is large."""
 
-    @staticmethod
-    def assert_close(got, ref, h):
-        assert np.abs(got - ref).max() <= 1e-12 * sum_scale(h)
-
     @given(case=covariance_cases(), a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0))
     def test_modulation_shifts_and_phases(self, path, case, a, b):
-        # 2(p - x)(q - y) + ap + bq = 2(p - x')(q - y') + ax + by - ab/2 with
-        # x' = x - b/2 and y' = y - a/2, term by term
-        h, out = case
-        forward, x, y = PATHS[path][0], out.p_axis, out.q_axis
-        P, Q = h.grid.meshes()
-        X, Y = out.meshes()
-        shifted = PhaseGrid(make_axis(x.min - b / 2, x.max - b / 2, x.n),
-                            make_axis(y.min - a / 2, y.max - a / 2, y.n))
-        ref = np.exp(1j * (a * X + b * Y - a * b / 2)) * forward(h, shifted).values
-        modulated = SampledField(h.grid, np.exp(1j * (a * P + b * Q)) * h.values)
-        self.assert_close(forward(modulated, out).values, ref, h)
+        assert modulation_miss(PATHS[path][0], *case, a, b) <= 1e-12
+
+    @given(case=covariance_cases(), p0=st.floats(-3.0, 3.0), q0=st.floats(-3.0, 3.0))
+    def test_translating_both_grids_keeps_the_values(self, path, case, p0, q0):
+        for op in PATHS[path]:
+            assert translation_miss(op, *case, p0, q0) <= 1e-12
 
     @given(case=covariance_cases())
     def test_swapping_the_axes_transposes(self, path, case):
-        h, out = case
-        swapped = SampledField(PhaseGrid(h.grid.q_axis, h.grid.p_axis), h.values.T)
         for op in PATHS[path]:
-            got = op(swapped, PhaseGrid(out.q_axis, out.p_axis)).values
-            self.assert_close(got, op(h, out).values.T, h)
+            assert swap_miss(op, *case) <= 1e-12
+
+    @given(case=covariance_cases())
+    def test_mirroring_both_grids_mirrors_the_values(self, path, case):
+        for op in PATHS[path]:
+            assert parity_miss(op, *case) <= 1e-12
 
     @given(case=covariance_cases())
     def test_conjugation_inverts(self, path, case):
@@ -382,6 +421,52 @@ def test_conjugation_catches_a_dropped_outer_conj(rng):
     h = SampledField(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     assert conjugation_miss(forward_direct, inverse_direct, h, out) <= 1e-12
     assert conjugation_miss(forward_direct, mutant, h, out) > 1e-3
+
+
+def relation_misses(h, out):
+    """Each relation's worst miss on the fast path, for one case."""
+    ops = (forward_fast, inverse_fast)
+    return {"modulation": modulation_miss(forward_fast, h, out, 0.6, -0.8),
+            "translation": max(translation_miss(op, h, out, 1.3, -0.7) for op in ops),
+            "swap": max(swap_miss(op, h, out) for op in ops),
+            "parity": max(parity_miss(op, h, out) for op in ops),
+            "conjugation": conjugation_miss(*ops, h, out)}
+
+
+class TestRelationsCatchMutants:
+    """Each mutant of the fast path fails at least one relation.  The output
+    grid has as many x as y nodes, so a transposed output keeps its shape,
+    but its two axes differ in bounds and step, as the input's do."""
+
+    grid = PhaseGrid(make_axis(-1.5, 3.0, 23), make_axis(0.5, 4.0, 31))
+    out = PhaseGrid(make_axis(-2.0, 1.0, 17), make_axis(1.0, 2.5, 17))
+
+    @pytest.fixture
+    def h(self, rng):
+        shape = self.grid.shape
+        return SampledField(self.grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def test_the_fast_path_passes_every_relation(self, h):
+        assert max(relation_misses(h, self.out).values()) <= 1e-12
+
+    def test_the_p_axis_passed_where_the_q_axis_goes(self, h, monkeypatch):
+        # _fast resamples along p (axis 0), then along q (axis 1); the mutant
+        # hands the q resampling the p axis it was given first
+        real, seen = xform._fourier_resample, {}
+
+        def mutant(arr, src, dst, axis, sign):
+            if axis == 0:
+                seen["p"] = src
+            return real(arr, seen["p"] if axis == 1 else src, dst, axis, sign)
+
+        monkeypatch.setattr(xform, "_fourier_resample", mutant)
+        assert max(relation_misses(h, self.out).values()) > 1e-3
+
+    def test_a_transposed_output(self, h, monkeypatch):
+        real = xform._fast
+        monkeypatch.setattr(xform, "_fast",
+                            lambda f, out, sign: SampledField(out, real(f, out, sign).values.T))
+        assert max(relation_misses(h, self.out).values()) > 1e-3
 
 
 class TestParseval:
