@@ -32,8 +32,8 @@ def main():
 
     alphas = args.alpha or [np.pi / 3, np.pi / 2, 2 * np.pi / 3]
     epsilons = sorted(args.epsilon or [0.1, 0.05, 0.02, 0.01], reverse=True)
-    if epsilons[-1] <= 0:
-        ap.error("--epsilon values must be > 0; the epsilon = 0 row is always printed")
+    if not all(0 < eps < np.inf for eps in epsilons):  # False for NaN as well
+        ap.error("--epsilon values must be > 0 and finite; the epsilon = 0 row is always printed")
     cax = make_axis(-args.extent, args.extent, args.n)
     cgrid = PhaseGrid(cax, cax)
     eax = make_axis(-args.eval_extent, args.eval_extent, args.eval_n)

@@ -118,8 +118,8 @@ def chirplet_field(alpha: float, epsilon: float, grid: PhaseGrid) -> SampledFiel
     The caller's grid must resolve the chirp (step <= pi / (2 max|coord|));
     that is a test-harness responsibility and is not enforced here.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < np.inf:  # False for NaN as well
+        raise ValueError(f"epsilon must be > 0 and finite, got {epsilon}")
     c = -float(epsilon) - params_of_alpha(alpha).lam
     e_p, e_q = (np.exp(c * ax.values**2) for ax in (grid.p_axis, grid.q_axis))
     return SampledField(grid, np.outer(e_p, e_q))
@@ -208,8 +208,8 @@ def chirplet_identity_residual(
     principal branch only for sin alpha > 0.
     """
     alpha = _check_chirplet_alpha(alpha)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < np.inf:  # False for NaN as well
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     pref = 2.0 / (1j * np.exp(-1j * alpha) + 1.0)
     X, Y = out_grid.meshes()
     target = np.sqrt(2 * np.pi) * frft_kernel(alpha, X, Y) * np.exp(1j * X * Y)

@@ -129,6 +129,10 @@ class PhaseGrid:
 
 def _check_values(values: np.ndarray, shape: tuple[int, ...], what: str,
                   dtype=complex) -> np.ndarray:
+    if dtype is not complex and np.iscomplexobj(values):  # a cast would drop the imaginary part
+        if np.any(np.imag(values)):
+            raise ValueError(f"{what} has a non-zero imaginary part")
+        values = np.real(values)
     arr = np.ascontiguousarray(values, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"{what} values shape {arr.shape} does not match {shape}")

@@ -95,12 +95,14 @@ def make_hermite_basis(n_max: int, axis: Axis) -> HermiteBasis:
 def _cell_on(axis: Axis, at, what: str, where: str):
     """``axis.cell(at)``, if every point is finite and on the axis (0 <= s <= 1)."""
     at = np.asarray(at, dtype=float)
-    if np.isfinite(at).all():  # cell casts to int, which NaN and inf cannot take
-        i, s = axis.cell(at)
-        if ((s >= 0.0) & (s <= 1.0)).all():
-            return i, s
-    raise ValueError(f"{what} [{at.min()}, {at.max()}] outside the {where} "
-                     f"[{axis.min}, {axis.max}], which is too small")
+    finite = np.isfinite(at)
+    if not finite.all():  # cell casts to int, which NaN and inf cannot take
+        raise ValueError(f"{what} value {at[~finite].flat[0]} is not finite")
+    i, s = axis.cell(at)
+    if not ((s >= 0.0) & (s <= 1.0)).all():
+        raise ValueError(f"{what} [{at.min()}, {at.max()}] outside the {where} "
+                         f"[{axis.min}, {axis.max}], which is too small")
+    return i, s
 
 
 def _antidiagonal_transform(values: np.ndarray, axis: Axis,

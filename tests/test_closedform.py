@@ -99,9 +99,10 @@ class TestChirpletField:
         f = chirplet_field(1.0, 0.05, square_grid(4, 33))
         assert np.abs(f.values).max() <= 1.0 + 1e-15
 
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            chirplet_field(1.0, 0.0, self.grid())
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_nonpositive_epsilon(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be > 0 and finite"):
+            chirplet_field(1.0, eps, self.grid())
 
     @pytest.mark.parametrize("alpha, match", [
         (0.0, "singularity guard"), (3.1, "singularity guard"),
@@ -207,9 +208,11 @@ class TestChirpletIdentity:
         # at equal damping only the quadrature's own error remains
         assert r5.quadrature_vs_closed < 1e-11
 
-    def test_rejects_negative_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            chirplet_identity_residual(1.0, -0.1, None, self.out_grid())
+    @pytest.mark.parametrize("eps", [-0.1, -np.inf, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_epsilon(self, eps):
+        # NaN passed an `epsilon < 0` guard and gave closed_form = nan
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            chirplet_identity_residual(1.0, eps, None, self.out_grid())
 
     def test_quadrature_grid_needs_positive_epsilon(self):
         # a grid asks for the quadrature, which has no undamped chirplet to sample

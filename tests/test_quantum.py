@@ -552,7 +552,7 @@ class TestKirkwoodClosed:
     def test_nan_q_is_rejected(self, fn, q):
         # NaN compares false with both ends, so it must fail the check, not pass it
         psi = state_signal(0)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="q value nan is not finite"):
             fn(psi, np.zeros(np.shape(q)), q)
 
     @pytest.mark.parametrize("fn", [kirkwood_qp_closed, kirkwood_pq_closed])
@@ -574,7 +574,7 @@ class TestOnTheAxis:
         past = ax.max + 5e-13
         with pytest.raises(ValueError, match="outside the signal axis"):
             kirkwood_qp_closed(Signal(ax, np.ones(ax.n)), 0.0, past)
-        with pytest.raises(ValueError, match="outside the kernel axis"):
+        with pytest.raises(ValueError, match="outside the kernel axis .*, which is too small"):
             mixed_matrix_element(OperatorKernel(ax, np.eye(ax.n)), 0.0, past)
 
     def test_a_point_one_ulp_past_the_end_of_a_far_axis_reads_the_last_node(self):
@@ -589,9 +589,12 @@ class TestOnTheAxis:
 
     @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_point_is_rejected_before_it_is_cast(self, y):
-        # RuntimeWarnings are errors here, so a cast of NaN or inf would fail otherwise
-        with pytest.raises(ValueError, match="outside the kernel axis"):
+        # RuntimeWarnings are errors here, so a cast of NaN or inf would fail
+        # otherwise; the axis is not too small for it, so no hint says so
+        with pytest.raises(ValueError, match=f"^y value {y} is not finite$"):
             mixed_matrix_element(projector_kernel(0), 0.0, y)
+        with pytest.raises(ValueError, match=f"^q value {y} is not finite$"):
+            kirkwood_qp_closed(state_signal(0), 0.0, y)
 
 
 class TestWignerToKirkwood:
@@ -737,6 +740,13 @@ class TestHermiteBasis:
         table[2, 100] = bad
         with pytest.raises(ValueError, match="basis table contains non-finite"):
             HermiteBasis(CHAR_AXIS, table)
+
+    def test_rejects_a_table_with_an_imaginary_part(self):
+        # a cast to float dropped it: 1j times a table was accepted as all zeros
+        table = make_hermite_basis(4, CHAR_AXIS).table
+        with pytest.raises(ValueError, match="basis table has a non-zero imaginary part"):
+            HermiteBasis(CHAR_AXIS, 1j * table)
+        assert np.array_equal(HermiteBasis(CHAR_AXIS, table + 0j).table, table)
 
     def test_one_class_under_every_name(self):
         import chirpspace

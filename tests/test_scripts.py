@@ -34,10 +34,12 @@ class TestEpsilonLadder:
         # the closed form is exact in epsilon, so its residual falls with epsilon
         assert ladder_rows[1, 2] < ladder_rows[0, 2]
 
-    def test_rejects_a_zero_epsilon(self, monkeypatch, capsys):
-        # the quadrature needs a damped chirplet; epsilon = 0 is the anchor row
+    @pytest.mark.parametrize("eps", ["0", "nan", "inf"])
+    def test_rejects_a_zero_epsilon(self, monkeypatch, capsys, eps):
+        # the quadrature needs a damped chirplet; epsilon = 0 is the anchor row,
+        # and nan passed an `epsilon <= 0` guard to a traceback
         ladder = load_script("epsilon_ladder")
-        monkeypatch.setattr(sys, "argv", ["epsilon_ladder.py", "--epsilon", "0"])
+        monkeypatch.setattr(sys, "argv", ["epsilon_ladder.py", "--epsilon", "0.1", "--epsilon", eps])
         with pytest.raises(SystemExit) as exc:
             ladder.main()
         assert exc.value.code == 2
