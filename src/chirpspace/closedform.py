@@ -104,6 +104,8 @@ def gaussian_transform_closed(lam: complex, x, y):
     that closure).  lam = +-i is the genuine singularity and is rejected.
     """
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     d = lam * lam + 1.0
     if abs(d) < 1e-9:
         raise ValueError(f"lam={lam} is within 1e-9 of the singular points +-i")

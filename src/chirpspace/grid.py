@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -63,6 +64,9 @@ class Axis:
     def __post_init__(self):
         if not (np.isfinite(self.min) and np.isfinite(self.max)):
             raise ValueError(f"axis bounds must be finite, got [{self.min}, {self.max}]")
+        if not isinstance(self.n, Integral):  # a float n disagrees with len(values)
+            raise ValueError(f"axis needs an integer n, got n={self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 2:
             raise ValueError(f"axis needs n >= 2 samples, got n={self.n}")
         # a positive step means max > min; finite bounds can still overflow
@@ -108,7 +112,7 @@ class Axis:
 
 def make_axis(lo: float, hi: float, n: int) -> Axis:
     """Validated axis constructor. See :class:`Axis` for the sample formula."""
-    return Axis(float(lo), float(hi), int(n))
+    return Axis(float(lo), float(hi), n)
 
 
 @dataclass(frozen=True)

@@ -405,11 +405,17 @@ def _char_function(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
     generator K of ``_exp_qp`` (P = -iK, Q = D^H P D), so scipy's real
     ``expm`` path runs instead of its complex one, and every product and
     norm runs on scipy's BLAS too (``_zmm``; see the module docstring)."""
+    for what, x in (("u", u), ("v", v), ("q", q), ("p", p)):
+        if not np.isfinite(x):
+            raise ValueError(f"{what} must be finite, got {x}")
     R, _ = _project_density(rho, basis)
     eQ, eP = _exp_qp(u, v, basis.n_max)
     eP = eP.astype(complex)
     val = np.trace(_zmm(_zmm(R, eQ), eP) if ordered else _zmm(_zmm(R, eP), eQ))
-    return complex(val * np.exp(1j * (q * u + p * v)))
+    val = complex(val * np.exp(1j * (q * u + p * v)))
+    if not np.isfinite(val):  # expm overflows for |u| or |v| near the float range
+        raise ValueError(f"characteristic function at u={u}, v={v} is not finite")
+    return val
 
 
 def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,

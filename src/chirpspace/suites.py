@@ -205,7 +205,9 @@ def _random_fields(seed: int):
 def suite_roundtrip(cfg: RunConfig) -> list[CaseResult]:
     """Both cases reach 6.4e-9 to 1.2e-8 over the default seed and seeds 1-9,
     with the default BLAS threads and with one thread; 100x the worst rounds
-    up to 1e-5, so each tolerance stays at its earlier 1e-6."""
+    up to 1e-5, so each tolerance stays at its earlier 1e-6.  Scaling either
+    path by (1 + 1e-7) leaves its residual at 1.0e-7, inside 1e-6, so no such
+    mutant fails either case."""
     grid, mid, fields = _random_fields(cfg.seed)
     label = "inverse(forward(h)) recovers h (transform invertibility)"
 
@@ -391,7 +393,10 @@ def suite_symbol_identity(cfg: RunConfig) -> list[CaseResult]:
     rounded up to a power of ten; osc-transform keeps 1e-6:
     n0 transform 2.0e-13 -> 1e-10, inverse 5.1e-12 -> 1e-9;
     n1 transform 1.8e-13 -> 1e-10, inverse 4.8e-11 -> 1e-8;
-    osc transform 3.0e-9 -> 1e-6, inverse 6.2e-10 -> 1e-7."""
+    osc transform 3.0e-9 -> 1e-6, inverse 6.2e-10 -> 1e-7.  osc-transform
+    is the one case no (1 + 1e-7) scale of the transform fails: scaling
+    ``forward_fast`` moves it to 1.34e-7, inside 1e-6 (scaling
+    ``inverse_fast`` moves osc-inverse to 1.5e-7, just past its 1e-7)."""
     op_axis = make_axis(-8.0, 8.0, 257)      # step 1/16
     basis = quantum.make_hermite_basis(60, op_axis)
     sym_grid = PhaseGrid(make_axis(-6.0, 6.0, 129), make_axis(-6.0, 6.0, 97))

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chirpspace import closedform, hermite_functions, quantum, read_field_csv, suites, xform
+from chirpspace import closedform, hermite_functions, quantum, read_field_csv, suites
 from chirpspace import SampledField, write_field_csv
 from chirpspace.cli import _parse_grid_spec, main
 
@@ -110,110 +111,6 @@ class TestVerifyCommand:
         assert len(closed) == 1
         assert closed[0]["residual"] < 1e-10
 
-    def test_quadrature_cases_catch_a_relative_error_of_1e7(self, tmp_path, monkeypatch):
-        # mutation analysis: a fast path off by one part in 10^7 fails every
-        # equal-damping quadrature case and leaves the closed-form cases passing
-        fast = closedform.forward_fast
-
-        def scaled(h, out):
-            f = fast(h, out)
-            return SampledField(f.grid, f.values * (1 + 1e-7))
-
-        monkeypatch.setattr(closedform, "forward_fast", scaled)
-        assert run_cli("verify", "chirplet-kernel", "--out", str(tmp_path)) == 1
-        cases = load_strict_json(tmp_path / "report-chirplet-kernel.json")["cases"]
-        quadrature = [c for c in cases if c["name"].startswith("chirplet-quadrature-")]
-        closed = [c for c in cases if c["name"].startswith("chirplet-closed-")]
-        assert len(quadrature) == len(closed) == 3
-        assert not any(c["pass"] for c in quadrature)
-        assert all(c["pass"] for c in closed)
-
-    def test_parseval_cases_catch_a_relative_error_of_1e7(self, tmp_path, monkeypatch):
-        # mutation analysis: a fast path off by one part in 10^7 moves the
-        # squared norm by about 2e-7, and fails both cases
-        exact = xform.forward_fast
-
-        def scaled(h, out):
-            f = exact(h, out)
-            return SampledField(f.grid, f.values * (1 + 1e-7))
-
-        monkeypatch.setattr(xform, "forward_fast", scaled)
-        assert run_cli("verify", "parseval", "--out", str(tmp_path)) == 1
-        cases = load_strict_json(tmp_path / "report-parseval.json")["cases"]
-        assert {c["name"] for c in cases if not c["pass"]} == {
-            "parseval-random", "parseval-hermite-gaussian"}
-        assert all(c["error"] is None for c in cases)
-
-    @pytest.mark.parametrize("mutated, caught, spared", [
-        ("forward_fast", ("-qp", "n0-transform", "n1-transform"), ("-pq", "-inverse")),
-        ("inverse_fast", ("-pq", "n0-inverse", "n1-inverse"), ("-qp", "-transform")),
-    ])
-    def test_kirkwood_and_symbol_cases_catch_a_relative_error_of_1e7(
-            self, tmp_path, monkeypatch, mutated, caught, spared):
-        # mutation analysis: one direction of the transform off by one part in
-        # 10^7 fails the cases that read it and leaves the other side passing
-        exact = getattr(quantum, mutated)
-
-        def scaled(h, out):
-            f = exact(h, out)
-            return SampledField(f.grid, f.values * (1 + 1e-7))
-
-        monkeypatch.setattr(quantum, mutated, scaled)
-        cases = []
-        for suite in ("kirkwood", "symbol-identity"):
-            assert run_cli("verify", suite, "--out", str(tmp_path)) == 1
-            cases += load_strict_json(tmp_path / f"report-{suite}.json")["cases"]
-        failed = {c["name"] for c in cases if not c["pass"]}
-        must_fail = {c["name"] for c in cases if c["name"].endswith(caught)}
-        assert len(must_fail) == 4 and must_fail <= failed
-        assert not failed & {c["name"] for c in cases if c["name"].endswith(spared)}
-
-    @pytest.mark.parametrize("mutated, caught", [
-        ("expm", {"charfun-closed", "charfun-trace"}),
-        ("char_function_pq", {"charfun-conjugate"}),
-    ])
-    def test_charfun_cases_catch_a_relative_error_of_1e7(
-            self, tmp_path, monkeypatch, mutated, caught):
-        # mutation analysis: both exponentials, or the anti-ordered function,
-        # off by one part in 10^7 fail the cases that read them; an expm
-        # error scales both orders alike, so the conjugate pairing still holds
-        exact = getattr(quantum, mutated)
-        monkeypatch.setattr(quantum, mutated, lambda *a: exact(*a) * (1 + 1e-7))
-        assert run_cli("verify", "charfun", "--out", str(tmp_path)) == 1
-        cases = load_strict_json(tmp_path / "report-charfun.json")["cases"]
-        assert {c["name"] for c in cases if not c["pass"]} == caught
-        assert all(c["error"] is None for c in cases)
-
-    @pytest.mark.parametrize("suite, module, mutated, scale, caught", [
-        ("gaussian", closedform, "gaussian_transform_closed", lambda r: r * (1 + 1e-7),
-         {"gaussian-lam-0.5", "gaussian-lam-1", "gaussian-lam-2"}),
-        ("weyl", quantum, "weyl_quantize",
-         lambda K: quantum.OperatorKernel(K.axis, K.values * (1 + 1e-7)),
-         {"weyl-roundtrip", "weyl-spectral"}),
-    ])
-    def test_gaussian_and_weyl_cases_catch_a_relative_error_of_1e7(
-            self, tmp_path, monkeypatch, suite, module, mutated, scale, caught):
-        # mutation analysis: the closed-form Gaussian image, or the Weyl
-        # quantization, off by one part in 10^7 fails every case that reads it
-        exact = getattr(module, mutated)
-        monkeypatch.setattr(module, mutated, lambda *a: scale(exact(*a)))
-        assert run_cli("verify", suite, "--out", str(tmp_path)) == 1
-        cases = load_strict_json(tmp_path / f"report-{suite}.json")["cases"]
-        assert {c["name"] for c in cases if not c["pass"]} == caught
-        assert all(c["error"] is None for c in cases)
-
-    def test_hermite_oracle_cases_catch_a_relative_error_of_1e7(self, tmp_path, monkeypatch):
-        # mutation analysis: the eigenfunction series off by one part in 10^7
-        # fails every case, the composition too
-        exact = closedform.frft_kernel_hermite
-        monkeypatch.setattr(closedform, "frft_kernel_hermite",
-                            lambda *a: exact(*a) * (1 + 1e-7))
-        assert run_cli("verify", "hermite-oracle", "--out", str(tmp_path)) == 1
-        cases = load_strict_json(tmp_path / "report-hermite-oracle.json")["cases"]
-        assert len(cases) == 6
-        assert not any(c["pass"] for c in cases)
-        assert all(c["error"] is None for c in cases)
-
     def test_report_records_its_environment(self, tmp_path, monkeypatch):
         # recorded, not applied: OpenBLAS read its setting when it loaded
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -287,6 +184,83 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "characteristic function unavailable" in out
         assert "[FAIL] charfun-closed: residual inf" in out
+
+
+# Mutation analysis: each suite must fail when one function it reads is scaled
+# by (1 + 1e-7).  One row per mutant: the suites it runs, the binding it
+# patches, and the exact set of cases that must fail; every other case of
+# those suites must pass.  A new suite adds its rows here, or lists its cases
+# in BLIND_TO_1E7 with the reason.
+ALPHAS = [f"{a:.4f}" for a in suites.RunConfig().alphas]
+MUTANTS = [
+    (("chirplet-kernel",), "closedform.forward_fast",
+     {f"chirplet-quadrature-{a}" for a in ALPHAS}),
+    (("chirplet-kernel",), "closedform.frft_kernel",  # 1.0-1.07e-7 against 1e-10
+     {f"chirplet-closed-{a}" for a in ALPHAS}),
+    (("parseval",), "xform.forward_fast", {"parseval-random", "parseval-hermite-gaussian"}),
+    (("kirkwood", "symbol-identity"), "quantum.forward_fast",
+     {"kirkwood-n0-qp", "kirkwood-n1-qp",
+      "symbol-identity-n0-transform", "symbol-identity-n1-transform"}),
+    (("kirkwood", "symbol-identity"), "quantum.inverse_fast",
+     {"kirkwood-n0-pq", "kirkwood-n1-pq", "symbol-identity-n0-inverse",
+      "symbol-identity-n1-inverse", "symbol-identity-osc-inverse"}),  # osc 1.5e-7 against 1e-7
+    # an expm error scales both orders alike, so the conjugate pairing holds
+    (("charfun",), "quantum.expm", {"charfun-closed", "charfun-trace"}),
+    (("charfun",), "quantum.char_function_pq", {"charfun-conjugate"}),
+    (("gaussian",), "closedform.gaussian_transform_closed",
+     {"gaussian-lam-0.5", "gaussian-lam-1", "gaussian-lam-2"}),
+    (("weyl",), "quantum.weyl_quantize", {"weyl-roundtrip", "weyl-spectral"}),
+    (("hermite-oracle",), "closedform.frft_kernel_hermite",
+     {"oracle-alpha-0.3000", "oracle-alpha-1.0000", "oracle-alpha-1.5708",
+      "oracle-alpha-2.0000", "oracle-alpha-2.8000", "oracle-composition"}),
+]
+# cases no 1e-7 mutant can fail, by suite, each with its reason
+BLIND_TO_1E7 = {
+    "roundtrip": {
+        "roundtrip-fast": "either path scaled leaves the residual at 1.0e-7, inside 1e-6",
+        "roundtrip-direct": "either path scaled leaves the residual at 1.0e-7, inside 1e-6",
+    },
+    "symbol-identity": {
+        "symbol-identity-osc-transform": "the forward mutant gives 1.34e-7, inside 1e-6",
+    },
+}
+
+
+class TestMutationTable:
+    @pytest.mark.parametrize("suite_names, binding, caught", MUTANTS,
+                             ids=[binding for _, binding, _ in MUTANTS])
+    def test_mutant_fails_exactly_its_cases(self, tmp_path, monkeypatch,
+                                            suite_names, binding, caught):
+        module, name = binding.split(".")
+        module = importlib.import_module(f"chirpspace.{module}")
+        exact = getattr(module, name)
+
+        def scaled(*args):
+            r = exact(*args)
+            if dataclasses.is_dataclass(r):  # a SampledField or an OperatorKernel
+                return dataclasses.replace(r, values=r.values * (1 + 1e-7))
+            return r * (1 + 1e-7)
+
+        monkeypatch.setattr(module, name, scaled)
+        cases = []
+        for suite in suite_names:
+            assert run_cli("verify", suite, "--out", str(tmp_path)) == 1
+            cases += load_strict_json(tmp_path / f"report-{suite}.json")["cases"]
+        assert {c["name"] for c in cases if not c["pass"]} == caught
+        assert all(c["error"] is None for c in cases)
+
+    def test_every_case_is_caught_or_listed(self, monkeypatch):
+        # each suite's case names, without running their computations
+        monkeypatch.setattr(suites, "_cases", lambda cfg, specs, fn: [s[0] for s in specs])
+        cfg = suites.RunConfig()
+        names = {suite: set(build(cfg)) for suite, build in suites.SUITE_BUILDERS.items()}
+        caught = set().union(*(c for _, _, c in MUTANTS))
+        blind = {name for listed in BLIND_TO_1E7.values() for name in listed}
+        assert not caught & blind
+        for suite, listed in BLIND_TO_1E7.items():
+            assert set(listed) <= names[suite]
+        assert {suite: cases - caught - blind for suite, cases in names.items()
+                if cases - caught - blind} == {}
 
 
 class TestNanResidual:

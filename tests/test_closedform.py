@@ -68,6 +68,11 @@ class TestGaussianClosed:
         with pytest.raises(ValueError, match="singular"):
             gaussian_transform_closed(lam, 0.0, 0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(0, np.nan), 1 + 1j * np.inf])
+    def test_rejects_a_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            gaussian_transform_closed(lam, 0.0, 0.0)
+
     def test_small_lambda_limit_uniform(self):
         # image tends to 1 uniformly on compact sets as the width vanishes
         x = np.linspace(-2, 2, 9)

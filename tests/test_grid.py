@@ -17,6 +17,7 @@ from chirpspace import (
     trapezoid_weights,
     weighted_norm_sq,
 )
+from chirpspace.grid import Axis
 
 from conftest import square_grid
 
@@ -98,11 +99,16 @@ class TestAxis:
     @pytest.mark.parametrize(
         "args",
         [(-6, 6, 1), (6, -6, 10), (0, 0, 10), (np.nan, 1, 4), (0, np.inf, 4),
-         (-1e308, 1e308, 5), (0.0, 5e-324, 3)],
+         (-1e308, 1e308, 5), (0.0, 5e-324, 3), (0, 1, 2.5), (0, 1, 2.7), (0, 1, 5.0)],
     )
     def test_rejects_bad_axes(self, args):
         with pytest.raises(ValueError):
             make_axis(*args)
+
+    def test_numpy_integer_n_is_stored_as_int(self):
+        ax = Axis(0.0, 1.0, np.int64(5))
+        assert type(ax.n) is int and ax == make_axis(0, 1, 5)
+        assert ax.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestTrapezoid:

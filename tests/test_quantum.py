@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -649,6 +650,21 @@ class TestCharFunctions:
         val = char_function_qp(rho, basis, u, v, q=q, p=p)
         ref = char_function_qp(rho, basis, u, v) * np.exp(1j * (q * u + p * v))
         assert val == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("fn", [char_function_qp, char_function_pq])
+    @pytest.mark.parametrize("arg", ["u", "v", "q", "p"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_argument(self, fn, arg, bad):
+        args = {"u": 0.5, "v": -0.3, "q": 0.2, "p": 0.1, arg: bad}
+        with pytest.raises(ValueError, match=f"{arg} must be finite"):
+            fn(self.rho0(), self.basis(), **args)
+
+    @pytest.mark.parametrize("fn", [char_function_qp, char_function_pq])
+    @pytest.mark.parametrize("u, v", [(1e300, 0.0), (0.0, -1e300)])
+    def test_rejects_a_result_that_is_not_finite(self, fn, u, v):
+        # expm overflows to nan+nanj, which was returned with no warning
+        with pytest.raises(ValueError, match=re.escape(f"at u={u}, v={v} is not finite")):
+            fn(self.rho0(), self.basis(), u, v)
 
     def density(self, state):
         psi = hermite_functions(1, CHAR_AXIS.values)
