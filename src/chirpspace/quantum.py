@@ -420,12 +420,22 @@ def _char_function(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
 
 def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
                      q: float = 0.0, p: float = 0.0) -> complex:
-    """Ordered characteristic function Tr[rho e^{i(q-Q)u} e^{i(p-P)v}]."""
+    """Ordered characteristic function Tr[rho e^{i(q-Q)u} e^{i(p-P)v}].
+
+    The basis stops at n_max, so the value holds only while the states that
+    e^{-iQu} e^{-iPv} moves rho's into stay inside it; past that it is finite
+    but wrong, and no error is raised.  Measured for the ground state on a
+    241-node axis over [-12, 12], against
+    e^{-(u^2+v^2)/4 - iuv/2}: with n_max = 48, 6.7e-16 at |u| = 9, 4.7e-14 at
+    u = 10, 1.2e-8 at 12 and 1.6e-3 at 15 (v = 0), and 8.0e-6 at (u, v) =
+    (7, 7); with n_max = 36, 5.6e-10 at u = 9 and 4.05e-4 at u = 12."""
     return _char_function(rho, basis, u, v, q, p, ordered=True)
 
 
 def char_function_pq(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
                      q: float = 0.0, p: float = 0.0) -> complex:
     """Anti-ordered characteristic function Tr[rho e^{i(p-P)v} e^{i(q-Q)u}]:
-    the conjugate of the ordered one at (-u, -v) for Hermitian rho."""
+    the conjugate of the ordered one at (-u, -v) for Hermitian rho.  Its range
+    is ``char_function_qp``'s: against e^{-(u^2+v^2)/4 + iuv/2}, the ground
+    state gives the same errors at the same points."""
     return _char_function(rho, basis, u, v, q, p, ordered=False)

@@ -263,6 +263,46 @@ class TestMutationTable:
                 if cases - caught - blind} == {}
 
 
+def _transposed(kernel):
+    return dataclasses.replace(kernel, values=kernel.values.T)
+
+
+def _kirkwood_qp_unconjugated(psi, p, q):
+    """kirkwood_qp_closed without its conj, which kirkwood_pq_closed inherits."""
+    p = np.asarray(p, dtype=float)
+    i, s = quantum._cell_on(psi.axis, q, "q", "signal axis")
+    ft = quantum._dense_fourier(psi.axis, psi.values, p.ravel()).reshape(p.shape)
+    pq = (1.0 - s) * psi.values[i] + s * psi.values[i + 1]
+    return pq * ft * np.exp(1j * p * q) / np.sqrt(2.0 * np.pi)
+
+
+# Convention mutants, the usual errors in Weyl-Wigner code: a transposed read
+# or a dropped conjugate.  Every state and operator these suites read is real
+# and symmetric, where H, H^T, H* and H^H are one matrix, so every case still
+# passes with its residual unchanged.  Complex, non-symmetric suite inputs
+# (ROADMAP item 5) make these rows pass; the change that adds them removes
+# the markers.
+BLIND_TO_CONVENTION = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 5: the suite's inputs are real and symmetric")
+CONVENTION_MUTANTS = [
+    pytest.param("symbol-identity", "_mixed_grid",
+                 lambda exact: lambda H, xs, ys: exact(_transposed(H), xs, ys),
+                 id="mixed-grid-reads-transpose", marks=BLIND_TO_CONVENTION),
+    pytest.param("kirkwood", "kirkwood_qp_closed", lambda exact: _kirkwood_qp_unconjugated,
+                 id="kirkwood-drops-conj", marks=BLIND_TO_CONVENTION),
+    pytest.param("charfun", "_project_density",
+                 lambda exact: lambda rho, basis: exact(_transposed(rho), basis),
+                 id="projects-transposed-density", marks=BLIND_TO_CONVENTION),
+]
+
+
+class TestConventionMutants:
+    @pytest.mark.parametrize("suite, name, mutant", CONVENTION_MUTANTS)
+    def test_suite_fails(self, tmp_path, monkeypatch, suite, name, mutant):
+        monkeypatch.setattr(quantum, name, mutant(getattr(quantum, name)))
+        assert run_cli("verify", suite, "--out", str(tmp_path)) == 1
+
+
 class TestNanResidual:
     @pytest.mark.parametrize("rs", [[0.1, np.nan, 0.2], [np.nan, 0.1]])
     def test_worst_propagates_nan(self, rs):
@@ -370,11 +410,20 @@ class TestTransformCommand:
         assert err.count("\n") == 1 and len(err.encode()) < 8192
         assert f"{inpath}: line 1: expected header 'p,q,re,im', got '0,0,0," in err
 
-    def test_a_first_line_of_nul_bytes_is_echoed_in_64_characters(self, tmp_path, capsys):
+    @pytest.mark.parametrize("device", [
+        None,
+        pytest.param("/dev/zero", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/zero"), reason="needs /dev/zero")),
+    ], ids=["file", "dev-zero"])
+    def test_a_first_line_of_nul_bytes_is_echoed_in_64_characters(
+            self, tmp_path, capsys, device):
         # each NUL echoes as four characters, \x00: the echo is cut to 64
-        # characters before its repr, so the line stays under 1 KiB
-        inpath = tmp_path / "zeros.csv"
-        inpath.write_bytes(bytes(4096))
+        # characters before its repr, so the line stays under 1 KiB; /dev/zero
+        # never ends, so the call returns only because line 1 is read from
+        # at most 4096 bytes
+        inpath = device or tmp_path / "zeros.csv"
+        if device is None:
+            inpath.write_bytes(bytes(4096))
         assert run_cli("transform", "--in", str(inpath), "--direction", "forward",
                        "--grid=-1,1,4;-1,1,4", "--out", str(tmp_path / "o.csv")) == 2
         err = capsys.readouterr().err

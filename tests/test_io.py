@@ -1,6 +1,8 @@
 import io
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -29,7 +31,7 @@ from chirpspace import (
 from chirpspace import fields_io
 from chirpspace.fields_io import CsvFormatError
 
-from conftest import gaussian_poly_field, naive_field_csv, square_grid
+from conftest import gaussian_poly_field, naive_field_csv, package_env, square_grid
 
 
 class TestFieldCsv:
@@ -600,6 +602,23 @@ LARGE_BODIES = {
 class TestSplitRead:
     """A body read in 1, 2 or 3 parts gives the same values bit for bit, or
     the same CsvFormatError text, and leaves no child process behind."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_part_count_is_one_per_usable_core(self, monkeypatch):
+        # every other test sets the part count; this one checks how it is chosen
+        m = fields_io.MIN_PART_BYTES
+        assert [fields_io._part_count(n) for n in (0, m - 1, m, 2 * m - 1)] == [1] * 4
+        assert fields_io._part_count(1 << 30) == len(os.sched_getaffinity(0))
+        # a process pinned to one core reads and writes in one part, whatever
+        # the machine's core count
+        cpu = min(os.sched_getaffinity(0))
+        pinned = subprocess.run(
+            [sys.executable, "-c", f"import os; os.sched_setaffinity(0, [{cpu}]); "
+             "from chirpspace import fields_io; print(fields_io._part_count(1 << 30))"],
+            capture_output=True, text=True, timeout=120, env=package_env())
+        assert pinned.stdout == "1\n", pinned.stderr
+        monkeypatch.delattr(os, "memfd_create")
+        assert fields_io._part_count(1 << 30) == 1
 
     @given(body=ARBITRARY_BODIES)
     def test_arbitrary_body_reads_alike_in_parts(self, body):

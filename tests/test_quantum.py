@@ -666,6 +666,14 @@ class TestCharFunctions:
         with pytest.raises(ValueError, match=re.escape(f"at u={u}, v={v} is not finite")):
             fn(self.rho0(), self.basis(), u, v)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 15: no estimate of the truncation error is computed, "
+               "so the value at u = 12 on 37 states, off by 4.05e-4, is returned")
+    def test_rejects_a_point_past_the_basis(self):
+        with pytest.raises(ValueError):
+            char_function_qp(self.rho0(), self.basis(36), 12.0, 0.0)
+
     def density(self, state):
         psi = hermite_functions(1, CHAR_AXIS.values)
         g = boosted_gaussian(0.7, -0.5, CHAR_AXIS).values
