@@ -281,9 +281,13 @@ def oscillator_exponential_symbol(f: complex, grid: PhaseGrid) -> SampledField:
     (``oscillator_exponential_kernel`` + ``weyl_quantize`` round trip): at
     e^f -> 0 it reproduces the ground-state projector symbol 2 e^{-(p^2+q^2)},
     and at f = i(pi/2 - alpha) the chirplet exp(i tan(pi/4 - alpha/2) rho^2)
-    scaled by 2/(i e^{-i alpha} + 1).
+    scaled by 2/(i e^{-i alpha} + 1).  An f whose e^f is not finite (NaN,
+    overflow) is rejected; f = -inf, the projector limit, is not.
     """
-    z = np.exp(complex(f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.exp(complex(f))
+    if not np.isfinite(z):
+        raise ValueError(f"e^f is not finite at f={f}")
     if abs(z + 1.0) < 1e-9:
         raise ValueError(f"e^f={z} is within 1e-9 of -1 (singular correspondence)")
     c = (z - 1.0) / (z + 1.0)
@@ -295,9 +299,11 @@ def oscillator_exponential_kernel(f: complex, basis: HermiteBasis) -> OperatorKe
     """Spectral kernel sum_{n <= n_max} e^{f n} psi_n(q1) psi_n(q2).
 
     Exact oracle for the oscillator exponential on the truncated eigenbasis;
-    requires Re(f) <= 0 so the coefficients stay bounded.
+    requires a finite f with Re(f) <= 0 so the coefficients stay bounded.
     """
     f = complex(f)
+    if not np.isfinite(f):
+        raise ValueError(f"f must be finite, got {f}")
     if f.real > 1e-12:
         raise ValueError(f"Re(f) must be <= 0 for a bounded spectral sum, got {f}")
     coeff = np.exp(f * np.arange(basis.n_max + 1))

@@ -388,23 +388,56 @@ def suite_weyl(cfg: RunConfig) -> list[CaseResult]:
     ]
 
 
+# (q0, p0) of the displaced, boosted states that the symbol-identity, kirkwood
+# and charfun suites read: their kernels are neither real nor symmetric, so a
+# transposed read or a dropped conjugate moves a residual
+_BOOST = (0.25, 0.35)
+
+
+def _boosted(n: int, axis) -> np.ndarray:
+    """psi_n(x - q0) e^{i p0 x} on the axis's nodes, at (q0, p0) = _BOOST."""
+    q0, p0 = _BOOST
+    x = axis.values
+    return hermite_functions(n, x - q0)[n] * np.exp(1j * p0 * x)
+
+
+def _coherent_char_qp(u, v) -> complex:
+    """Closed form of the ordered characteristic function of the coherent state
+    ``_boosted(0, ...)``: e^{-(u^2+v^2)/4 - iuv/2 - i(u q0 + v p0)}."""
+    q0, p0 = _BOOST
+    return np.exp(-(u**2 + v**2) / 4 - 1j * (u * v / 2 + u * q0 + v * p0))
+
+
 def suite_symbol_identity(cfg: RunConfig) -> list[CaseResult]:
     """Each tolerance is 100x the case's residual (the cases take no config),
-    rounded up to a power of ten; osc-transform keeps 1e-6:
-    n0 transform 2.0e-13 -> 1e-10, inverse 5.1e-12 -> 1e-9;
-    n1 transform 1.8e-13 -> 1e-10, inverse 4.8e-11 -> 1e-8;
-    osc transform 3.0e-9 -> 1e-6, inverse 6.2e-10 -> 1e-7.  osc-transform
-    is the one case no (1 + 1e-7) scale of the transform fails: scaling
-    ``forward_fast`` moves it to 1.34e-7, inside 1e-6 (scaling
-    ``inverse_fast`` moves osc-inverse to 1.5e-7, just past its 1e-7)."""
+    rounded up to a power of ten; osc-transform keeps 1e-6.  boost1 is the
+    projector onto psi_1 displaced and boosted by ``_BOOST``.  Residuals with
+    the default BLAS threads and with one thread:
+
+        case                               residual   tolerance
+        symbol-identity-n0-transform       2.0e-13    1e-10
+        symbol-identity-n0-inverse         5.1e-12    1e-9
+        symbol-identity-boost1-transform   2.0e-13    1e-10
+        symbol-identity-boost1-inverse     4.0e-10    1e-7
+        symbol-identity-osc-transform      3.0e-9     1e-6
+        symbol-identity-osc-inverse        6.2e-10    1e-7
+
+    osc-transform is the one case no (1 + 1e-7) scale of the transform fails:
+    scaling ``forward_fast`` moves it to 1.34e-7, inside 1e-6 (scaling
+    ``inverse_fast`` moves osc-inverse to 1.5e-7 and boost1-inverse to 2.0e-7,
+    past their 1e-7)."""
     op_axis = make_axis(-8.0, 8.0, 257)      # step 1/16
     basis = quantum.make_hermite_basis(60, op_axis)
     sym_grid = PhaseGrid(make_axis(-6.0, 6.0, 129), make_axis(-6.0, 6.0, 97))
     out = PhaseGrid(make_axis(-7.0, 7.0, 225), make_axis(-7.0, 7.0, 225))
-    kernels = {f"n{n}": quantum.OperatorKernel(op_axis, np.outer(psi, psi).astype(complex))
-               for n, psi in enumerate(basis.table[:2])}
-    kernels["osc"] = quantum.oscillator_exponential_kernel(-np.log(3.0), basis)
-    tol = {"n0": (1e-10, 1e-9), "n1": (1e-10, 1e-8), "osc": (1e-6, 1e-7)}  # (transform, inverse)
+    psi0, psi1 = basis.table[0], _boosted(1, op_axis)
+    kernels = {
+        "n0": quantum.OperatorKernel(op_axis, np.outer(psi0, psi0).astype(complex)),
+        "boost1": quantum.OperatorKernel(op_axis, np.outer(psi1, psi1.conj())),
+        "osc": quantum.oscillator_exponential_kernel(-np.log(3.0), basis),
+    }
+    # (transform, inverse)
+    tol = {"n0": (1e-10, 1e-9), "boost1": (1e-10, 1e-7), "osc": (1e-6, 1e-7)}
     cases = []
     for tag, K in kernels.items():
         cases += _cases(cfg, [
@@ -412,46 +445,57 @@ def suite_symbol_identity(cfg: RunConfig) -> list[CaseResult]:
              "transform of the symbol equals the scaled mixed matrix element", tol[tag][0]),
             (f"symbol-identity-{tag}-inverse",
              "inverse transform of the mixed matrix element recovers the symbol", tol[tag][1]),
-        ], lambda: quantum.symbol_identity_residual(K, sym_grid, out))
+        ], lambda K=K: quantum.symbol_identity_residual(K, sym_grid, out))
     return cases
 
 
 def suite_kirkwood(cfg: RunConfig) -> list[CaseResult]:
-    """Tolerance 1e-10: 100x the worst residual, 2.1e-13 (no config), rounded up."""
+    """Tolerance 1e-10 for every case: 100x the worst residual (no config),
+    rounded up to a power of ten.  boost1 is psi_1 displaced and boosted by
+    ``_BOOST``.  Residuals with the default BLAS threads and with one thread:
+
+        case                 residual   tolerance
+        kirkwood-n0-qp       2.1e-13    1e-10
+        kirkwood-n0-pq       2.1e-13    1e-10
+        kirkwood-boost1-qp   2.2e-13    1e-10
+        kirkwood-boost1-pq   2.2e-13    1e-10
+    """
     sax = make_axis(-8.0, 8.0, 257)
-    table = hermite_functions(1, sax.values)
     wgrid = _square_grid(6.5, 209)
     out = PhaseGrid(make_axis(-5.0, 5.0, 161), make_axis(-5.0, 5.0, 161))
+    states = {"n0": hermite_functions(0, sax.values)[0].astype(complex),
+              "boost1": _boosted(1, sax)}
     cases = []
-    for n in (0, 1):
-        psi = Signal(sax, table[n].astype(complex))
+    for tag, values in states.items():
+        psi = Signal(sax, values)
         cases += _cases(cfg, [
-            (f"kirkwood-n{n}-qp",
+            (f"kirkwood-{tag}-qp",
              "transform of the Wigner function equals the Kirkwood-Rihaczek form", 1e-10),
-            (f"kirkwood-n{n}-pq",
+            (f"kirkwood-{tag}-pq",
              "inverse-kernel transform equals the anti-ordered Kirkwood form", 1e-10),
-        ], lambda: quantum.wigner_to_kirkwood_residual(psi, wgrid, out))
+        ], lambda psi=psi: quantum.wigner_to_kirkwood_residual(psi, wgrid, out))
     return cases
 
 
 def suite_charfun(cfg: RunConfig) -> list[CaseResult]:
     """Each tolerance is 100x the case's worst residual (the cases take no
-    config), rounded up to a power of ten, with a floor of 1e-13; residuals
-    with the default BLAS threads and with one thread:
+    config), rounded up to a power of ten, with a floor of 1e-13.  The state
+    is the coherent state, the ground state displaced and boosted by
+    ``_BOOST``.  Residuals with the default BLAS threads and with one thread:
 
         case                residual            tolerance
-        charfun-closed      5.8e-16 to 6.0e-16  1e-13
-        charfun-trace       0                   1e-13
-        charfun-conjugate   3.3e-16 to 3.7e-16  1e-13
+        charfun-closed      6.7e-16 to 6.8e-16  1e-13
+        charfun-trace       2.3e-16 to 4.5e-16  1e-13
+        charfun-conjugate   4.3e-16 to 4.5e-16  1e-13
     """
     bax = make_axis(-12.0, 12.0, 241)
     basis = quantum.make_hermite_basis(48, bax)
-    rho = quantum.OperatorKernel(bax, np.outer(basis.table[0], basis.table[0]).astype(complex))
+    psi = _boosted(0, bax)
+    rho = quantum.OperatorKernel(bax, np.outer(psi, psi.conj()))
     uv = make_axis(-3.0, 3.0, 13).values
 
     def run_closed():
-        return _worst(abs(quantum.char_function_qp(rho, basis, u, v)
-                          - np.exp(-(u**2 + v**2) / 4) * np.exp(-1j * u * v / 2))
+        return _worst(abs(quantum.char_function_qp(rho, basis, u, v) - _coherent_char_qp(u, v))
                       for u in uv for v in uv)
 
     def run_trace():
@@ -464,7 +508,7 @@ def suite_charfun(cfg: RunConfig) -> list[CaseResult]:
 
     return [
         _case(cfg, "charfun-closed",
-              "ground-state ordered characteristic function matches its closed form",
+              "coherent-state ordered characteristic function matches its closed form",
               1e-13, run_closed),
         _case(cfg, "charfun-trace",
               "characteristic function at the origin returns the trace", 1e-13, run_trace),

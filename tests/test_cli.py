@@ -186,33 +186,66 @@ class TestVerifyCommand:
         assert "[FAIL] charfun-closed: residual inf" in out
 
 
+def scaled(exact):
+    """The binding's result times (1 + 1e-7)."""
+    def mutant(*args):
+        r = exact(*args)
+        if dataclasses.is_dataclass(r):  # a SampledField or an OperatorKernel
+            return dataclasses.replace(r, values=r.values * (1 + 1e-7))
+        return r * (1 + 1e-7)
+    return mutant
+
+
+def transposed(exact):
+    """The binding read with its first argument's values transposed."""
+    return lambda first, *rest: exact(dataclasses.replace(first, values=first.values.T), *rest)
+
+
+def conjugated(exact):
+    """The binding read with its first argument's values conjugated."""
+    return lambda first, *rest: exact(dataclasses.replace(first, values=first.values.conj()),
+                                      *rest)
+
+
 # Mutation analysis: each suite must fail when one function it reads is scaled
-# by (1 + 1e-7).  One row per mutant: the suites it runs, the binding it
-# patches, and the exact set of cases that must fail; every other case of
-# those suites must pass.  A new suite adds its rows here, or lists its cases
-# in BLIND_TO_1E7 with the reason.
+# by (1 + 1e-7), and the suites that read a displaced, boosted state must fail
+# on the usual convention errors of Weyl-Wigner code, a transposed read or a
+# dropped conjugate.  One row per mutant: the suites it runs, the binding it
+# patches, the mutant, and the exact set of cases that must fail; every other
+# case of those suites must pass.  A new suite adds its scaled rows here, or
+# lists its cases in BLIND_TO_1E7 with the reason.
 ALPHAS = [f"{a:.4f}" for a in suites.RunConfig().alphas]
 MUTANTS = [
-    (("chirplet-kernel",), "closedform.forward_fast",
+    (("chirplet-kernel",), "closedform.forward_fast", scaled,
      {f"chirplet-quadrature-{a}" for a in ALPHAS}),
-    (("chirplet-kernel",), "closedform.frft_kernel",  # 1.0-1.07e-7 against 1e-10
+    (("chirplet-kernel",), "closedform.frft_kernel", scaled,  # 1.0-1.07e-7 against 1e-10
      {f"chirplet-closed-{a}" for a in ALPHAS}),
-    (("parseval",), "xform.forward_fast", {"parseval-random", "parseval-hermite-gaussian"}),
-    (("kirkwood", "symbol-identity"), "quantum.forward_fast",
-     {"kirkwood-n0-qp", "kirkwood-n1-qp",
-      "symbol-identity-n0-transform", "symbol-identity-n1-transform"}),
-    (("kirkwood", "symbol-identity"), "quantum.inverse_fast",
-     {"kirkwood-n0-pq", "kirkwood-n1-pq", "symbol-identity-n0-inverse",
-      "symbol-identity-n1-inverse", "symbol-identity-osc-inverse"}),  # osc 1.5e-7 against 1e-7
+    (("parseval",), "xform.forward_fast", scaled,
+     {"parseval-random", "parseval-hermite-gaussian"}),
+    (("kirkwood", "symbol-identity"), "quantum.forward_fast", scaled,
+     {"kirkwood-n0-qp", "kirkwood-boost1-qp",
+      "symbol-identity-n0-transform", "symbol-identity-boost1-transform"}),
+    (("kirkwood", "symbol-identity"), "quantum.inverse_fast", scaled,
+     {"kirkwood-n0-pq", "kirkwood-boost1-pq", "symbol-identity-n0-inverse",
+      "symbol-identity-boost1-inverse",  # 2.0e-7 against 1e-7
+      "symbol-identity-osc-inverse"}),  # 1.5e-7 against 1e-7
     # an expm error scales both orders alike, so the conjugate pairing holds
-    (("charfun",), "quantum.expm", {"charfun-closed", "charfun-trace"}),
-    (("charfun",), "quantum.char_function_pq", {"charfun-conjugate"}),
-    (("gaussian",), "closedform.gaussian_transform_closed",
+    (("charfun",), "quantum.expm", scaled, {"charfun-closed", "charfun-trace"}),
+    (("charfun",), "quantum.char_function_pq", scaled, {"charfun-conjugate"}),
+    (("gaussian",), "closedform.gaussian_transform_closed", scaled,
      {"gaussian-lam-0.5", "gaussian-lam-1", "gaussian-lam-2"}),
-    (("weyl",), "quantum.weyl_quantize", {"weyl-roundtrip", "weyl-spectral"}),
-    (("hermite-oracle",), "closedform.frft_kernel_hermite",
+    (("weyl",), "quantum.weyl_quantize", scaled, {"weyl-roundtrip", "weyl-spectral"}),
+    (("hermite-oracle",), "closedform.frft_kernel_hermite", scaled,
      {"oracle-alpha-0.3000", "oracle-alpha-1.0000", "oracle-alpha-1.5708",
       "oracle-alpha-2.0000", "oracle-alpha-2.8000", "oracle-composition"}),
+    # the n0 and osc kernels are real and symmetric, so only boost1 sees these
+    (("symbol-identity",), "quantum._mixed_grid", transposed,
+     {"symbol-identity-boost1-transform", "symbol-identity-boost1-inverse"}),
+    # kirkwood_pq_closed conjugates kirkwood_qp_closed, so it reads the mutant
+    (("kirkwood",), "quantum.kirkwood_qp_closed", conjugated,
+     {"kirkwood-boost1-qp", "kirkwood-boost1-pq"}),
+    # a transposed Hermitian density keeps its trace and its conjugate pairing
+    (("charfun",), "quantum._project_density", transposed, {"charfun-closed"}),
 ]
 # cases no 1e-7 mutant can fail, by suite, each with its reason
 BLIND_TO_1E7 = {
@@ -227,21 +260,13 @@ BLIND_TO_1E7 = {
 
 
 class TestMutationTable:
-    @pytest.mark.parametrize("suite_names, binding, caught", MUTANTS,
-                             ids=[binding for _, binding, _ in MUTANTS])
+    @pytest.mark.parametrize("suite_names, binding, mutant, caught", MUTANTS,
+                             ids=[row[1] for row in MUTANTS])
     def test_mutant_fails_exactly_its_cases(self, tmp_path, monkeypatch,
-                                            suite_names, binding, caught):
+                                            suite_names, binding, mutant, caught):
         module, name = binding.split(".")
         module = importlib.import_module(f"chirpspace.{module}")
-        exact = getattr(module, name)
-
-        def scaled(*args):
-            r = exact(*args)
-            if dataclasses.is_dataclass(r):  # a SampledField or an OperatorKernel
-                return dataclasses.replace(r, values=r.values * (1 + 1e-7))
-            return r * (1 + 1e-7)
-
-        monkeypatch.setattr(module, name, scaled)
+        monkeypatch.setattr(module, name, mutant(getattr(module, name)))
         cases = []
         for suite in suite_names:
             assert run_cli("verify", suite, "--out", str(tmp_path)) == 1
@@ -254,53 +279,13 @@ class TestMutationTable:
         monkeypatch.setattr(suites, "_cases", lambda cfg, specs, fn: [s[0] for s in specs])
         cfg = suites.RunConfig()
         names = {suite: set(build(cfg)) for suite, build in suites.SUITE_BUILDERS.items()}
-        caught = set().union(*(c for _, _, c in MUTANTS))
+        caught = set().union(*(c for _, _, mutant, c in MUTANTS if mutant is scaled))
         blind = {name for listed in BLIND_TO_1E7.values() for name in listed}
         assert not caught & blind
         for suite, listed in BLIND_TO_1E7.items():
             assert set(listed) <= names[suite]
         assert {suite: cases - caught - blind for suite, cases in names.items()
                 if cases - caught - blind} == {}
-
-
-def _transposed(kernel):
-    return dataclasses.replace(kernel, values=kernel.values.T)
-
-
-def _kirkwood_qp_unconjugated(psi, p, q):
-    """kirkwood_qp_closed without its conj, which kirkwood_pq_closed inherits."""
-    p = np.asarray(p, dtype=float)
-    i, s = quantum._cell_on(psi.axis, q, "q", "signal axis")
-    ft = quantum._dense_fourier(psi.axis, psi.values, p.ravel()).reshape(p.shape)
-    pq = (1.0 - s) * psi.values[i] + s * psi.values[i + 1]
-    return pq * ft * np.exp(1j * p * q) / np.sqrt(2.0 * np.pi)
-
-
-# Convention mutants, the usual errors in Weyl-Wigner code: a transposed read
-# or a dropped conjugate.  Every state and operator these suites read is real
-# and symmetric, where H, H^T, H* and H^H are one matrix, so every case still
-# passes with its residual unchanged.  Complex, non-symmetric suite inputs
-# (ROADMAP item 5) make these rows pass; the change that adds them removes
-# the markers.
-BLIND_TO_CONVENTION = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 5: the suite's inputs are real and symmetric")
-CONVENTION_MUTANTS = [
-    pytest.param("symbol-identity", "_mixed_grid",
-                 lambda exact: lambda H, xs, ys: exact(_transposed(H), xs, ys),
-                 id="mixed-grid-reads-transpose", marks=BLIND_TO_CONVENTION),
-    pytest.param("kirkwood", "kirkwood_qp_closed", lambda exact: _kirkwood_qp_unconjugated,
-                 id="kirkwood-drops-conj", marks=BLIND_TO_CONVENTION),
-    pytest.param("charfun", "_project_density",
-                 lambda exact: lambda rho, basis: exact(_transposed(rho), basis),
-                 id="projects-transposed-density", marks=BLIND_TO_CONVENTION),
-]
-
-
-class TestConventionMutants:
-    @pytest.mark.parametrize("suite, name, mutant", CONVENTION_MUTANTS)
-    def test_suite_fails(self, tmp_path, monkeypatch, suite, name, mutant):
-        monkeypatch.setattr(quantum, name, mutant(getattr(quantum, name)))
-        assert run_cli("verify", suite, "--out", str(tmp_path)) == 1
 
 
 class TestNanResidual:
@@ -320,7 +305,7 @@ class TestNanResidual:
             calls.append((u, v))
             if len(calls) == 2:
                 return complex(np.nan)
-            return complex(np.exp(-(u**2 + v**2) / 4) * np.exp(-1j * u * v / 2))
+            return complex(suites._coherent_char_qp(u, v))
 
         monkeypatch.setattr(quantum, "char_function_qp", closed_form_then_nan)
         assert run_cli("verify", "charfun", "--out", str(tmp_path)) == 1

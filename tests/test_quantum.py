@@ -53,6 +53,9 @@ KIRKWOOD_OUT = PhaseGrid(make_axis(-5.0, 5.0, 161), make_axis(-5.0, 5.0, 161))
 # the symbol-identity suite's grids; its operator axis is SIG_AXIS
 SYMBOL_GRID = PhaseGrid(make_axis(-6.0, 6.0, 129), make_axis(-6.0, 6.0, 97))
 SYMBOL_OUT = PhaseGrid(make_axis(-7.0, 7.0, 225), make_axis(-7.0, 7.0, 225))
+# alpha of the damped fractional Fourier operator e^{fN}, f = -log 3 - i alpha;
+# alpha = 0 is the weyl-spectral and symbol-identity-osc operator
+DAMPED_ROTATIONS = [0.0, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 2.8]
 
 
 def state_signal(n):
@@ -200,8 +203,9 @@ class TestWeylQuantize:
                * np.exp(-((Q1 - Q2) ** 2) / (4 * eps)) / (2 * np.pi))
         assert np.abs(K.values - ref).max() < 1e-6
 
-    def test_oscillator_symbol_quantizes_to_spectral_kernel(self):
-        f = -np.log(3.0)
+    @pytest.mark.parametrize("alpha", DAMPED_ROTATIONS)
+    def test_oscillator_symbol_quantizes_to_spectral_kernel(self, alpha):
+        f = complex(-np.log(3.0), -alpha)
         grid = PhaseGrid(make_axis(-8, 8, 161), make_axis(-9, 9, 289))
         h = oscillator_exponential_symbol(f, grid)
         K = weyl_quantize(h, OP_AXIS)
@@ -389,8 +393,10 @@ class TestSymbolIdentity:
             assert res.transform_side < 1e-6
             assert res.inverse_side < 1e-6
 
-    def test_oscillator_exponential_residuals(self):
-        K = oscillator_exponential_kernel(-np.log(3.0), make_hermite_basis(60, SIG_AXIS))
+    @pytest.mark.parametrize("alpha", DAMPED_ROTATIONS)
+    def test_oscillator_exponential_residuals(self, alpha):
+        f = complex(-np.log(3.0), -alpha)
+        K = oscillator_exponential_kernel(f, make_hermite_basis(60, SIG_AXIS))
         res = symbol_identity_residual(K, SYMBOL_GRID, SYMBOL_OUT)
         assert res.transform_side < 1e-6
         assert res.inverse_side < 1e-6
@@ -430,6 +436,17 @@ class TestOscillatorExponential:
         with pytest.raises(ValueError, match="singular"):
             oscillator_exponential_symbol(1j * np.pi, square_grid(1, 3))
 
+    @pytest.mark.parametrize("f", [np.nan, np.inf, 800.0, complex(0, np.inf)])
+    def test_rejects_f_whose_exponential_is_not_finite(self, f):
+        with pytest.raises(ValueError, match=re.escape(f"e^f is not finite at f={f}")):
+            oscillator_exponential_symbol(f, square_grid(1, 3))
+
+    def test_projector_limit_at_minus_infinity(self):
+        grid = square_grid(2, 9)
+        P, Q = grid.meshes()
+        sym = oscillator_exponential_symbol(-np.inf, grid)
+        assert np.abs(sym.values - 2 * np.exp(-(P**2 + Q**2))).max() < 1e-15
+
     def test_kernel_projector_limit(self):
         basis = make_hermite_basis(40, OP_AXIS)
         K = oscillator_exponential_kernel(-40.0, basis)
@@ -447,6 +464,11 @@ class TestOscillatorExponential:
         basis = make_hermite_basis(10, OP_AXIS)
         with pytest.raises(ValueError, match="Re"):
             oscillator_exponential_kernel(0.5, basis)
+
+    @pytest.mark.parametrize("f", [np.nan, -np.inf, complex(0, np.inf)])
+    def test_kernel_rejects_non_finite_f(self, f):
+        with pytest.raises(ValueError, match="f must be finite"):
+            oscillator_exponential_kernel(f, make_hermite_basis(10, OP_AXIS))
 
 
 class TestWignerOfDensity:
