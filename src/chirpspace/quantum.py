@@ -282,12 +282,16 @@ def oscillator_exponential_symbol(f: complex, grid: PhaseGrid) -> SampledField:
     e^f -> 0 it reproduces the ground-state projector symbol 2 e^{-(p^2+q^2)},
     and at f = i(pi/2 - alpha) the chirplet exp(i tan(pi/4 - alpha/2) rho^2)
     scaled by 2/(i e^{-i alpha} + 1).  An f whose e^f is not finite (NaN,
-    overflow) is rejected; f = -inf, the projector limit, is not.
+    overflow) is rejected; f = -inf, the projector limit, is not.  Re(f) > 0
+    is rejected too, as in ``oscillator_exponential_kernel``: the symbol would
+    grow as e^{c(p^2+q^2)} with Re c > 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.exp(complex(f))
     if not np.isfinite(z):
         raise ValueError(f"e^f is not finite at f={f}")
+    if complex(f).real > 1e-12:
+        raise ValueError(f"Re(f) must be <= 0 for a bounded symbol, got {f}")
     if abs(z + 1.0) < 1e-9:
         raise ValueError(f"e^f={z} is within 1e-9 of -1 (singular correspondence)")
     c = (z - 1.0) / (z + 1.0)

@@ -137,7 +137,14 @@ def parseval_residual(h: SampledField, out: PhaseGrid) -> float:
     with T the fast path.
 
     ``out`` must capture the transform's support (boundary |f| <= 1e-12).
+    h is first scaled by the power of two of its largest real or imaginary
+    part.  That scaling is exact, so |h|^2 neither underflows nor overflows,
+    and the residual is the same, to rounding of the input, at any finite
+    scale.
     """
+    parts = h.values.view(float)
+    _, e = np.frexp(np.abs(parts).max())
+    h = SampledField(h.grid, np.ldexp(parts, -e).view(complex))
     nh = weighted_norm_sq(h)
     if nh == 0.0:
         raise ValueError("parseval residual undefined for a zero field")

@@ -16,7 +16,7 @@ import pytest
 
 import chirpspace as cs
 
-from conftest import gaussian_poly_field, package_env, square_grid
+from conftest import assert_chirp_resolved, gaussian_poly_field, package_env, square_grid
 
 TEN_FIELDS_SEED = 987
 
@@ -35,6 +35,8 @@ class TestAcceptance:
     def test_01_invertibility_both_paths(self):
         grid, fields = _fields()
         mid = square_grid(10, 216)
+        assert_chirp_resolved(grid)
+        assert_chirp_resolved(mid)
         worst = {}
         for path, fwd, inv in (("fast", cs.forward_fast, cs.inverse_fast),
                                ("direct", cs.forward_direct, cs.inverse_direct)):

@@ -460,10 +460,14 @@ class TestOscillatorExponential:
         v = np.exp(-((ax.values - 1.0) ** 2))
         assert np.abs(ax.step * K.values @ v - v).max() < 1e-8
 
-    def test_kernel_rejects_growing_f(self):
-        basis = make_hermite_basis(10, OP_AXIS)
-        with pytest.raises(ValueError, match="Re"):
-            oscillator_exponential_kernel(0.5, basis)
+    @pytest.mark.parametrize("f", [0.5, 5.0, 700.0, 5 - 2j])
+    @pytest.mark.parametrize("build", [
+        lambda f: oscillator_exponential_symbol(f, square_grid(30, 11)),
+        lambda f: oscillator_exponential_kernel(f, make_hermite_basis(10, OP_AXIS)),
+    ], ids=["symbol", "kernel"])
+    def test_rejects_growing_f(self, build, f):
+        with pytest.raises(ValueError, match=re.escape("Re(f) must be <= 0")):
+            build(f)
 
     @pytest.mark.parametrize("f", [np.nan, -np.inf, complex(0, np.inf)])
     def test_kernel_rejects_non_finite_f(self, f):
