@@ -41,14 +41,17 @@ def main():
 
     print(f"{'alpha':>8} {'epsilon':>9} {'closed-form':>12} {'quadrature':>12} "
           f"{'quad-closed':>12}")
-    for alpha in alphas:
-        anchor = chirplet_identity_residual(alpha, 0.0, None, out)
-        print(f"{alpha:8.4f} {0.0:9.3g} {anchor.closed_form:12.3e} {'-':>12} {'-':>12}")
-        for eps in epsilons:
-            res = chirplet_identity_residual(alpha, eps, cgrid, out)
-            print(f"{alpha:8.4f} {eps:9.3g} {res.closed_form:12.3e} "
-                  f"{res.quadrature:12.3e} {res.quadrature_vs_closed:12.3e}")
-        print()
+    try:
+        for alpha in alphas:
+            anchor = chirplet_identity_residual(alpha, 0.0, None, out)
+            print(f"{alpha:8.4f} {0.0:9.3g} {anchor.closed_form:12.3e} {'-':>12} {'-':>12}")
+            for eps in epsilons:
+                res = chirplet_identity_residual(alpha, eps, cgrid, out)
+                print(f"{alpha:8.4f} {eps:9.3g} {res.closed_form:12.3e} "
+                      f"{res.quadrature:12.3e} {res.quadrature_vs_closed:12.3e}")
+            print()
+    except ValueError as exc:
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

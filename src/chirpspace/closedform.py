@@ -92,7 +92,11 @@ class FrFTParams:
 def params_of_alpha(alpha: float) -> FrFTParams:
     """Build FrFTParams; rejects alpha near multiples of pi (singular kernel)."""
     alpha = _check_alpha(alpha)
-    lam = -1j * np.tan(np.pi / 4 - alpha / 2)
+    # tan(pi/4 - alpha/2) from sin and cos of alpha itself, which frft_kernel
+    # reads too; forming pi/4 - alpha/2 would lose about |alpha| eps.  Each
+    # form adds terms of one sign, so neither cancels.
+    s, c = np.sin(alpha), np.cos(alpha)
+    lam = -1j * (c / (1.0 + s) if s >= 0 else (1.0 - s) / c)
     return FrFTParams(alpha=alpha, lam=lam, f_exponent=1j * (np.pi / 2 - alpha))
 
 
@@ -107,6 +111,8 @@ def gaussian_transform_closed(lam: complex, x, y):
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     d = lam * lam + 1.0
+    if not np.isfinite(d):
+        raise ValueError(f"lam={lam} is too large: lam^2 + 1 leaves the float range")
     if abs(d) < 1e-9:
         raise ValueError(f"lam={lam} is within 1e-9 of the singular points +-i")
     x = np.asarray(x)

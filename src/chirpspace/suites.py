@@ -281,15 +281,15 @@ def suite_chirplet_kernel(cfg: RunConfig) -> list[CaseResult]:
     rounded up to a power of ten: 1e-10 (closed) and 1e-9 (quadrature):
 
         alpha    closed    quadrature
-        0.1002   9.0e-14   4.6e-12
+        0.1002   2.7e-13   4.6e-12
         0.4678   2.7e-15   2.7e-13
-        0.8355   8.6e-16   1.9e-13
-        1.2031   9.2e-16   1.7e-13
-        1.5708   4.3e-16   1.6e-13
-        1.9384   9.2e-16   1.5e-13
+        0.8355   9.0e-16   1.9e-13
+        1.2031   6.5e-16   1.7e-13
+        1.5708   3.2e-16   1.6e-13
+        1.9384   5.0e-16   1.5e-13
         2.3061   2.1e-15   1.6e-13
         2.6737   5.3e-15   1.8e-13
-        3.0414   2.7e-13   4.6e-12
+        3.0414   9.1e-14   4.6e-12
     """
     out = _square_grid(2.0, 9)
     cgrid = _square_grid(25.0, 801)

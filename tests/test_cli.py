@@ -127,9 +127,10 @@ class TestVerifyCommand:
         }
 
     def test_positive_sine_outside_first_period_passes(self, tmp_path):
-        # sin 7.0 = 0.657: the chirplet range is sin alpha >= 0.1, not 0 < alpha < pi
+        # the chirplet range is sin alpha >= 0.1, not 0 < alpha < pi; far out,
+        # chirplet-closed failed at 4.8e-10 while lam lost |alpha| eps
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alphas": [7.0]}))
+        cfg.write_text(json.dumps({"alphas": [np.pi / 3 + 2 * np.pi * 10**5]}))
         assert run_cli("verify", "chirplet-kernel", "--config", str(cfg),
                        "--out", str(tmp_path)) == 0
 

@@ -68,9 +68,14 @@ class TestGaussianClosed:
         with pytest.raises(ValueError, match="singular"):
             gaussian_transform_closed(lam, 0.0, 0.0)
 
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(0, np.nan), 1 + 1j * np.inf])
-    def test_rejects_a_non_finite_lambda(self, lam):
-        with pytest.raises(ValueError, match="lam must be finite"):
+    @pytest.mark.parametrize("lam, match", [
+        *((lam, "lam must be finite")
+          for lam in (np.nan, np.inf, -np.inf, complex(0, np.nan), 1 + 1j * np.inf)),
+        # lam^2 + 1 overflows: an OverflowError from complex exponentiation
+        *((lam, "is too large") for lam in (1e200, 1e200 + 1e200j)),
+    ])
+    def test_rejects_a_non_finite_lambda(self, lam, match):
+        with pytest.raises(ValueError, match=match):
             gaussian_transform_closed(lam, 0.0, 0.0)
 
     def test_small_lambda_limit_uniform(self):
@@ -199,9 +204,12 @@ class TestChirpletIdentity:
         assert res.closed_form < 1e-10
         assert res.quadrature is None and res.quadrature_vs_closed is None
 
-    def test_closed_path_fourier_angle(self):
-        res = chirplet_identity_residual(np.pi / 2, 0.0, None, self.out_grid())
-        assert res.closed_form < 1e-10
+    @pytest.mark.parametrize("k", [10**3, 10**5, 10**9])
+    def test_closed_path_holds_at_every_equivalent_angle(self, k):
+        # lam from tan(pi/4 - alpha/2) lost about |alpha| eps in the subtraction,
+        # while the kernel reads sin and tan of alpha itself: 1.4e-12 at k = 1e3
+        res = chirplet_identity_residual(np.pi / 3 + 2 * np.pi * k, 0.0, None, self.out_grid())
+        assert res.closed_form < 1e-13
 
     def test_quadrature_path_small_region(self):
         cgrid = square_grid(25, 801)

@@ -54,8 +54,8 @@ KIRKWOOD_OUT = PhaseGrid(make_axis(-5.0, 5.0, 161), make_axis(-5.0, 5.0, 161))
 SYMBOL_GRID = PhaseGrid(make_axis(-6.0, 6.0, 129), make_axis(-6.0, 6.0, 97))
 SYMBOL_OUT = PhaseGrid(make_axis(-7.0, 7.0, 225), make_axis(-7.0, 7.0, 225))
 # alpha of the damped fractional Fourier operator e^{fN}, f = -log 3 - i alpha;
-# alpha = 0 is the weyl-spectral and symbol-identity-osc operator
-DAMPED_ROTATIONS = [0.0, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 2.8]
+# alpha = 0 is left to the verify cases weyl-spectral and symbol-identity-osc-*
+DAMPED_ROTATIONS = [np.pi / 3, np.pi / 2, 2 * np.pi / 3, 2.8]
 
 
 def state_signal(n):
@@ -269,20 +269,6 @@ class TestWeylSymbol:
         P, Q = grid.meshes()
         assert np.abs(sym.values - 2.0 * np.exp(-(P**2 + Q**2))).max() < 1e-6
 
-    def test_round_trip_with_quantize(self):
-        sgrid = PhaseGrid(make_axis(-8, 8, 161), make_axis(-9, 9, 289))
-        h = sample_field(
-            lambda P, Q: (1 + 0.3 * P + 0.2j * Q + 0.1 * P * Q) * np.exp(-(P**2 + Q**2) / 2),
-            sgrid)
-        K = weyl_quantize(h, OP_AXIS)
-        out = PhaseGrid(make_axis(-6, 6, 97), make_axis(-6, 6, 97))
-        back = weyl_symbol(K, out)
-        ref = sample_field(
-            lambda P, Q: (1 + 0.3 * P + 0.2j * Q + 0.1 * P * Q) * np.exp(-(P**2 + Q**2) / 2),
-            out)
-        rel = np.linalg.norm(back.values - ref.values) / np.linalg.norm(ref.values)
-        assert rel < 1e-6
-
     def test_hermitian_kernel_gives_real_symbol(self):
         K = projector_kernel(2)
         sym = weyl_symbol(K, square_grid(3, 33))
@@ -387,12 +373,6 @@ class TestMixedMatrixElement:
 
 
 class TestSymbolIdentity:
-    def test_projector_residuals(self):
-        for n in (0, 1):
-            res = symbol_identity_residual(projector_kernel(n, SIG_AXIS), SYMBOL_GRID, SYMBOL_OUT)
-            assert res.transform_side < 1e-6
-            assert res.inverse_side < 1e-6
-
     @pytest.mark.parametrize("alpha", DAMPED_ROTATIONS)
     def test_oscillator_exponential_residuals(self, alpha):
         f = complex(-np.log(3.0), -alpha)
@@ -625,12 +605,6 @@ class TestOnTheAxis:
 
 
 class TestWignerToKirkwood:
-    def test_residuals_ground_and_excited(self):
-        for n in (0, 1):
-            res = wigner_to_kirkwood_residual(state_signal(n), KIRKWOOD_WIGNER, KIRKWOOD_OUT)
-            assert res.qp < 1e-6
-            assert res.pq < 1e-6
-
     @pytest.mark.parametrize("p0, q0", [(0.7, -0.5), (1.2, 0.9)])
     def test_residuals_boosted_displaced_gaussian(self, p0, q0):
         res = wigner_to_kirkwood_residual(boosted_gaussian(p0, q0), KIRKWOOD_WIGNER, KIRKWOOD_OUT)

@@ -44,3 +44,13 @@ class TestEpsilonLadder:
             ladder.main()
         assert exc.value.code == 2
         assert "--epsilon values must be > 0" in capsys.readouterr().err
+
+    def test_a_library_value_error_is_a_usage_error(self, monkeypatch, capsys):
+        # lam^2 + 1 overflows at epsilon = 1e200; this was an OverflowError traceback
+        ladder = load_script("epsilon_ladder")
+        monkeypatch.setattr(sys, "argv", [
+            "epsilon_ladder.py", "--n", "101", "--extent", "5", "--epsilon", "1e200"])
+        with pytest.raises(SystemExit) as exc:
+            ladder.main()
+        assert exc.value.code == 2
+        assert "lam^2 + 1 leaves the float range" in capsys.readouterr().err

@@ -404,12 +404,6 @@ class TestParseval:
         h = gaussian_field(square_grid(6, 128))
         assert parseval_residual(h, square_grid(10, 216)) < 1e-6
 
-    def test_hermite_gaussian(self):
-        grid = square_grid(6, 128)
-        P, Q = grid.meshes()
-        h = SampledField(grid, (P + 1j * Q) * np.exp(-(P**2 + Q**2) / 2))
-        assert parseval_residual(h, square_grid(10, 216)) < 1e-6
-
     @pytest.mark.parametrize("scale", [7.0, 1e-200, 1e200])
     def test_scale_invariance(self, scale):
         grid = square_grid(6, 96)
