@@ -110,13 +110,15 @@ class CaseResult:
 
 
 def _environment() -> dict:
-    """The Python, numpy and scipy versions, the core count, and the BLAS
-    thread settings as found in the environment (None when unset)."""
+    """The Python, numpy and scipy versions, the core count, the usable cores
+    (the fast path's FFT workers), and the BLAS thread settings as found in
+    the environment (None when unset)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
+        "usable_cores": xform.usable_cores(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
     }

@@ -22,7 +22,10 @@ input grid, with w_jk = ``p.weights[j] * q.weights[k]`` (steps included):
   Stages: the pre-chirp with p.weights / pi folded into its rows, times q.weights
   and h in place; chirp-z along p; chirp-z along q; the post-chirp.  Each stage's
   array replaces the last, so the pre-chirped field dies as the first chirp-z
-  returns.  ``_chirp`` builds each chirp from blocks of sqrt(len(b)) nodes, within
+  returns.  The two chirp-z stages run their FFTs on every usable core
+  (``scipy.fft.set_workers`` for the call); pocketfft splits whole lanes
+  between the workers, so the result is bit-identical at any worker count.
+  ``_chirp`` builds each chirp from blocks of sqrt(len(b)) nodes, within
   4 eps (1 + max|2ab|) max|row|.  Both kernels take ``Axis`` objects and read each
   lattice step from ``Axis.step``.
 
@@ -33,7 +36,10 @@ symmetrically).  Neither is enforced here.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import scipy.fft
 from scipy.signal import czt
 
 from .grid import Axis, PhaseGrid, SampledField, weighted_norm_sq
@@ -51,6 +57,14 @@ def _check_args(h: SampledField, out: PhaseGrid) -> None:
     for arg, cls in ((h, SampledField), (out, PhaseGrid)):
         if not isinstance(arg, cls):
             raise TypeError(f"expected {cls.__name__}, got {type(arg).__name__}")
+
+
+def usable_cores() -> int:
+    """The cores this process may run on, read on every call: its affinity
+    where ``os.sched_getaffinity`` exists, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fourier_resample(arr: np.ndarray, src: Axis, dst: Axis, axis: int, sign: int) -> np.ndarray:
@@ -83,8 +97,9 @@ def _fast(h: SampledField, out: PhaseGrid, sign: int) -> SampledField:
     g *= q.weights
     g *= h.values
     # p-sum at frequencies 2y, then q-sum at frequencies 2x
-    g = _fourier_resample(g, p, y, 0, sign)         # (n_y, n_q)
-    g = _fourier_resample(g, q, x, 1, sign).T       # (n_x, n_y)
+    with scipy.fft.set_workers(usable_cores()):
+        g = _fourier_resample(g, p, y, 0, sign)     # (n_y, n_q)
+        g = _fourier_resample(g, q, x, 1, sign).T   # (n_x, n_y)
     f = _chirp(x, y, sign)
     f *= g
     return SampledField(out, f)
@@ -142,6 +157,7 @@ def parseval_residual(h: SampledField, out: PhaseGrid) -> float:
     and the residual is the same, to rounding of the input, at any finite
     scale.
     """
+    _check_args(h, out)
     parts = h.values.view(float)
     _, e = np.frexp(np.abs(parts).max())
     h = SampledField(h.grid, np.ldexp(parts, -e).view(complex))

@@ -122,6 +122,8 @@ class TestVerifyCommand:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
+            "usable_cores": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count(),
             "OPENBLAS_NUM_THREADS": "2",
             "OMP_NUM_THREADS": None,
         }

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import czt
@@ -13,6 +18,7 @@ from chirpspace import (
     forward_direct,
     forward_fast,
     gaussian_transform_closed,
+    inverse_direct,
     inverse_fast,
     make_axis,
     parseval_residual,
@@ -25,6 +31,7 @@ from conftest import (
     assert_chirp_resolved,
     gaussian_poly_field,
     naive_transform,
+    package_env,
     spectral_transform,
     square_grid,
 )
@@ -107,12 +114,15 @@ class TestRoundTrip:
         assert np.all(forward_fast(z, grid).values == 0)
         assert np.all(inverse_fast(z, grid).values == 0)
 
-    def test_type_errors(self):
+    @pytest.mark.parametrize(
+        "op", [forward_fast, inverse_fast, forward_direct, inverse_direct, parseval_residual],
+        ids=lambda op: op.__name__)
+    def test_type_errors(self, op):
         g = square_grid(2, 4)
         with pytest.raises(TypeError):
-            forward_fast(np.zeros((4, 4)), g)
+            op(np.ones((4, 4)), g)
         with pytest.raises(TypeError):
-            forward_fast(SampledField(g, np.zeros(g.shape)), "not a grid")
+            op(SampledField(g, np.ones(g.shape)), "not a grid")
 
 
 class TestChirp:
@@ -168,6 +178,74 @@ class TestStageLifetimes:
         grid = square_grid(6, 64)
         op(gaussian_field(grid), square_grid(8, 48))
         assert alive == [[], [False]]
+
+
+class TestFftWorkers:
+    """The chirp-z stages run their FFTs on every usable core, for the call
+    only, and the result does not depend on the worker count."""
+
+    PAIRS = {"801sq-801sq": (square_grid(25, 801), square_grid(25, 801)),
+             "801sq-9sq": (square_grid(25, 801), square_grid(2, 9)),
+             "129x97-225sq": (PhaseGrid(make_axis(-6, 6, 129), make_axis(-6, 6, 97)),
+                              square_grid(7, 225))}
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_bit_identical_at_any_worker_count(self, monkeypatch, pair):
+        grid, out = self.PAIRS[pair]
+        h = gaussian_poly_field(grid, np.random.default_rng(17))
+        results = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(xform, "usable_cores", lambda: n)
+            results.append([op(h, out).values for op in (forward_fast, inverse_fast)])
+        for other in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(results[0], other))
+
+    @pytest.mark.parametrize("op", [forward_fast, inverse_fast])
+    def test_each_czt_runs_on_every_usable_core(self, monkeypatch, op):
+        cores, seen = len(os.sched_getaffinity(0)), []
+
+        def spy(*args, **kwargs):
+            seen.append(scipy.fft.get_workers())
+            return czt(*args, **kwargs)
+
+        monkeypatch.setattr(xform, "czt", spy)
+        with scipy.fft.set_workers(cores + 1):  # an entry value the call does not use
+            op(gaussian_field(square_grid(6, 64)), square_grid(8, 48))
+            assert scipy.fft.get_workers() == cores + 1
+        assert seen == [cores, cores]
+
+    def test_workers_are_restored_when_czt_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("czt failed")
+
+        monkeypatch.setattr(xform, "czt", failing)
+        entry = len(os.sched_getaffinity(0)) + 1
+        with scipy.fft.set_workers(entry):
+            with pytest.raises(RuntimeError, match="czt failed"):
+                forward_fast(gaussian_field(square_grid(6, 64)), square_grid(8, 48))
+            assert scipy.fft.get_workers() == entry
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_a_process_pinned_to_one_core_uses_one_worker(self):
+        cpu = min(os.sched_getaffinity(0))
+        script = textwrap.dedent(f"""\
+            import os
+            os.sched_setaffinity(0, [{cpu}])
+            import numpy as np
+            import scipy.fft
+            from chirpspace import PhaseGrid, SampledField, forward_fast, make_axis, xform
+            seen, czt = [], xform.czt
+            def spy(*args, **kwargs):
+                seen.append(scipy.fft.get_workers())
+                return czt(*args, **kwargs)
+            xform.czt = spy
+            grid = PhaseGrid(make_axis(-4, 4, 33), make_axis(-4, 4, 33))
+            forward_fast(SampledField(grid, np.ones(grid.shape, complex)), grid)
+            print(seen)
+            """)
+        pinned = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, timeout=120, env=package_env())
+        assert pinned.stdout == "[1, 1]\n", pinned.stderr
 
 
 @st.composite
