@@ -7,7 +7,6 @@ chirplet images, fractional-Fourier kernels with a spectral oracle, and the
 induced operator/symbol correspondence checks.
 """
 from .closedform import (
-    FrFTParams,
     SIN_ALPHA_GUARD,
     chirplet_field,
     chirplet_identity_residual,

@@ -31,7 +31,6 @@ kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +41,6 @@ from .xform import forward_fast
 
 __all__ = [
     "SIN_ALPHA_GUARD",
-    "FrFTParams",
     "params_of_alpha",
     "gaussian_transform_closed",
     "chirplet_field",
@@ -80,24 +78,15 @@ def _check_chirplet_alpha(alpha: float) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class FrFTParams:
-    """Coupled parameters of the fractional-Fourier specialization."""
-
-    alpha: float
-    lam: complex          # -i tan(pi/4 - alpha/2)
-    f_exponent: complex   # i (pi/2 - alpha), from i e^{-i alpha} = e^f
-
-
-def params_of_alpha(alpha: float) -> FrFTParams:
-    """Build FrFTParams; rejects alpha near multiples of pi (singular kernel)."""
+def params_of_alpha(alpha: float) -> complex:
+    """lam = -i tan(pi/4 - alpha/2), the Gaussian parameter of the chirplet
+    of angle alpha; rejects alpha near multiples of pi (singular kernel)."""
     alpha = _check_alpha(alpha)
     # tan(pi/4 - alpha/2) from sin and cos of alpha itself, which frft_kernel
     # reads too; forming pi/4 - alpha/2 would lose about |alpha| eps.  Each
     # form adds terms of one sign, so neither cancels.
     s, c = np.sin(alpha), np.cos(alpha)
-    lam = -1j * (c / (1.0 + s) if s >= 0 else (1.0 - s) / c)
-    return FrFTParams(alpha=alpha, lam=lam, f_exponent=1j * (np.pi / 2 - alpha))
+    return -1j * (c / (1.0 + s) if s >= 0 else (1.0 - s) / c)
 
 
 def gaussian_transform_closed(lam: complex, x, y):
@@ -128,7 +117,7 @@ def chirplet_field(alpha: float, epsilon: float, grid: PhaseGrid) -> SampledFiel
     """
     if not 0 < epsilon < np.inf:  # False for NaN as well
         raise ValueError(f"epsilon must be > 0 and finite, got {epsilon}")
-    c = -float(epsilon) - params_of_alpha(alpha).lam
+    c = -float(epsilon) - params_of_alpha(alpha)
     e_p, e_q = (np.exp(c * ax.values**2) for ax in (grid.p_axis, grid.q_axis))
     return SampledField(grid, np.outer(e_p, e_q))
 
@@ -222,7 +211,7 @@ def chirplet_identity_residual(
     X, Y = out_grid.meshes()
     target = np.sqrt(2 * np.pi) * frft_kernel(alpha, X, Y) * np.exp(1j * X * Y)
 
-    closed = pref * gaussian_transform_closed(params_of_alpha(alpha).lam + epsilon, X, Y)
+    closed = pref * gaussian_transform_closed(params_of_alpha(alpha) + epsilon, X, Y)
     res_closed = float(np.abs(closed - target).max())
 
     res_quad = res_vs_closed = None

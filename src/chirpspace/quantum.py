@@ -216,22 +216,22 @@ def _dense_fourier(axis: Axis, a: np.ndarray, xs) -> np.ndarray:
     return (E @ a) / np.sqrt(2.0 * np.pi)
 
 
-def _mixed_grid(H: OperatorKernel, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    ax = H.axis
-    i, s = _cell_on(ax, ys, "y", "kernel axis")
-    iy = i + (s > 0.5)
-    return _dense_fourier(ax, H.values[:, iy], xs)
-
-
-def mixed_matrix_element(H: OperatorKernel, x: float, y: float) -> complex:
+def mixed_matrix_element(H: OperatorKernel, x, y):
     """Momentum-bra matrix element <p = x|H|y>:
 
         (2 pi)^{-1/2} int dq1 e^{-i x q1} <q1|H|y>,
 
-    with y snapped to the nearest q2 column (tests choose y on-grid, which
-    keeps tight tolerances honest; snapping beats silently interpolating).
+    by trapezoid over q1, for every x against every y: the result has shape
+    x.shape + y.shape, a ``complex`` for scalar x and y.  A y between kernel
+    columns reads its two neighbours linearly (error O(step^2)), as
+    ``weyl_quantize`` and ``kirkwood_qp_closed`` read between nodes; a y
+    outside the kernel axis is rejected.
     """
-    return complex(_mixed_grid(H, np.array([float(x)]), np.array([float(y)]))[0, 0])
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    i, s = _cell_on(H.axis, y.ravel(), "y", "kernel axis")
+    cols = (1.0 - s) * H.values[:, i] + s * H.values[:, i + 1]
+    out = _dense_fourier(H.axis, cols, x.ravel()).reshape(x.shape + y.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 class SymbolIdentityResiduals(NamedTuple):
@@ -250,14 +250,15 @@ def symbol_identity_residual(
     inverse_side:   max |sqrt(2 pi) T^{-1}[<p=x|H|y> e^{ixy}](p, q) - symbol(p, q)|
 
     The two sides follow independent code paths (quadrature + resampled
-    transform vs a single Fourier contraction of the kernel).  out_grid's
-    y-values should lie on the kernel's q2 columns and capture the matrix
-    element's support.
+    transform vs a single Fourier contraction of the kernel).  out_grid must
+    capture the matrix element's support; its y-values are read as
+    ``mixed_matrix_element`` reads them, exactly on the kernel's q2 columns
+    and linearly between them, so tight tolerances call for aligned grids.
     """
     sym = weyl_symbol(H, symbol_grid)
     xs = out_grid.p_axis.values
     ys = out_grid.q_axis.values
-    me = _mixed_grid(H, xs, ys)
+    me = mixed_matrix_element(H, xs, ys)
     phase = np.exp(1j * np.outer(xs, ys))
 
     ts = forward_fast(sym, out_grid).values
@@ -408,29 +409,27 @@ def _exp_qp(u: float, v: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _char_function(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
-                   q: float, p: float, ordered: bool) -> complex:
+                   ordered: bool) -> complex:
     """Tr[rho e^{-iQu} e^{-iPv}] (``ordered``) or Tr[rho e^{-iPv} e^{-iQu}],
-    through matrix exponentials in the truncated eigenbasis, times
-    e^{i(qu + pv)}.  Both exponentials come from the one real antisymmetric
-    generator K of ``_exp_qp`` (P = -iK, Q = D^H P D), so scipy's real
-    ``expm`` path runs instead of its complex one, and every product and
-    norm runs on scipy's BLAS too (``_zmm``; see the module docstring)."""
-    for what, x in (("u", u), ("v", v), ("q", q), ("p", p)):
+    through matrix exponentials in the truncated eigenbasis.  Both
+    exponentials come from the one real antisymmetric generator K of
+    ``_exp_qp`` (P = -iK, Q = D^H P D), so scipy's real ``expm`` path runs
+    instead of its complex one, and every product and norm runs on scipy's
+    BLAS too (``_zmm``; see the module docstring)."""
+    for what, x in (("u", u), ("v", v)):
         if not np.isfinite(x):
             raise ValueError(f"{what} must be finite, got {x}")
     R, _ = _project_density(rho, basis)
     eQ, eP = _exp_qp(u, v, basis.n_max)
     eP = eP.astype(complex)
-    val = np.trace(_zmm(_zmm(R, eQ), eP) if ordered else _zmm(_zmm(R, eP), eQ))
-    val = complex(val * np.exp(1j * (q * u + p * v)))
+    val = complex(np.trace(_zmm(_zmm(R, eQ), eP) if ordered else _zmm(_zmm(R, eP), eQ)))
     if not np.isfinite(val):  # expm overflows for |u| or |v| near the float range
         raise ValueError(f"characteristic function at u={u}, v={v} is not finite")
     return val
 
 
-def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
-                     q: float = 0.0, p: float = 0.0) -> complex:
-    """Ordered characteristic function Tr[rho e^{i(q-Q)u} e^{i(p-P)v}].
+def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float) -> complex:
+    """Ordered characteristic function Tr[rho e^{-iQu} e^{-iPv}].
 
     The basis stops at n_max, so the value holds only while the states that
     e^{-iQu} e^{-iPv} moves rho's into stay inside it; past that it is finite
@@ -439,13 +438,12 @@ def char_function_qp(rho: OperatorKernel, basis: HermiteBasis, u: float, v: floa
     e^{-(u^2+v^2)/4 - iuv/2}: with n_max = 48, 6.7e-16 at |u| = 9, 4.7e-14 at
     u = 10, 1.2e-8 at 12 and 1.6e-3 at 15 (v = 0), and 8.0e-6 at (u, v) =
     (7, 7); with n_max = 36, 5.6e-10 at u = 9 and 4.05e-4 at u = 12."""
-    return _char_function(rho, basis, u, v, q, p, ordered=True)
+    return _char_function(rho, basis, u, v, ordered=True)
 
 
-def char_function_pq(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float,
-                     q: float = 0.0, p: float = 0.0) -> complex:
-    """Anti-ordered characteristic function Tr[rho e^{i(p-P)v} e^{i(q-Q)u}]:
+def char_function_pq(rho: OperatorKernel, basis: HermiteBasis, u: float, v: float) -> complex:
+    """Anti-ordered characteristic function Tr[rho e^{-iPv} e^{-iQu}]:
     the conjugate of the ordered one at (-u, -v) for Hermitian rho.  Its range
     is ``char_function_qp``'s: against e^{-(u^2+v^2)/4 + iuv/2}, the ground
     state gives the same errors at the same points."""
-    return _char_function(rho, basis, u, v, q, p, ordered=False)
+    return _char_function(rho, basis, u, v, ordered=False)

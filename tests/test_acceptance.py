@@ -111,11 +111,11 @@ class TestAcceptance:
         alphas = np.linspace(0.105, np.pi - 0.105, 50)
         worst = 0.0
         for a in alphas:
-            prm = cs.params_of_alpha(a)
-            d = prm.lam**2 + 1
+            lam = cs.params_of_alpha(a)
+            d = lam**2 + 1
             worst = max(worst,
-                        abs(-prm.lam / d - 1j / (2 * np.tan(a))),
-                        abs(2 * prm.lam**2 / d - (1 - 1 / np.sin(a))))
+                        abs(-lam / d - 1j / (2 * np.tan(a))),
+                        abs(2 * lam**2 / d - (1 - 1 / np.sin(a))))
         _line(5, worst < 1e-12, f"parameter-map identity residual {worst:.2e} "
               f"over 50 angles (tol 1e-12)")
         assert worst < 1e-12
@@ -183,15 +183,9 @@ class TestAcceptance:
         assert worst < 1e-6
 
     def test_10_headline_closed_form_continuation(self):
-        xs = np.linspace(-3, 3, 13)
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        worst = 0.0
-        for alpha in (0.3, 1.0, np.pi / 2, 2.0, 2.8):
-            prm = cs.params_of_alpha(alpha)
-            z = np.exp(prm.f_exponent)
-            lhs = (2.0 / (z + 1.0)) * cs.gaussian_transform_closed(prm.lam, X, Y)
-            rhs = np.sqrt(2 * np.pi) * cs.frft_kernel(alpha, X, Y) * np.exp(1j * X * Y)
-            worst = max(worst, np.abs(lhs - rhs).max())
+        out = square_grid(3, 13)
+        worst = max(cs.chirplet_identity_residual(alpha, 0.0, None, out).closed_form
+                    for alpha in (0.3, 1.0, np.pi / 2, 2.0, 2.8))
         _line(10, worst < 1e-6, f"transform of the oscillator-exponential symbol vs "
               f"scaled kernel, max err {worst:.2e} (tol 1e-6)")
         assert worst < 1e-6

@@ -21,12 +21,10 @@ ALPHAS_OK = st.floats(0.11, np.pi - 0.11)
 
 class TestParams:
     def test_fourier_angle_gives_zero_lambda(self):
-        assert abs(params_of_alpha(np.pi / 2).lam) < 1e-15
+        assert abs(params_of_alpha(np.pi / 2)) < 1e-15
 
     def test_pi_third_values(self):
-        p = params_of_alpha(np.pi / 3)
-        assert p.lam == pytest.approx(-1j * np.tan(np.pi / 12), abs=1e-15)
-        assert p.f_exponent == pytest.approx(1j * (np.pi / 2 - np.pi / 3), abs=1e-15)
+        assert params_of_alpha(np.pi / 3) == pytest.approx(-1j * np.tan(np.pi / 12), abs=1e-15)
 
     def test_guard_boundary(self):
         params_of_alpha(2.8)  # sin(2.8) ~ 0.335, accepted
@@ -37,17 +35,17 @@ class TestParams:
 
     @given(alpha=ALPHAS_OK)
     def test_parameter_identities(self, alpha):
-        p = params_of_alpha(alpha)
-        d = p.lam**2 + 1
-        assert abs(-p.lam / d - 1j / (2 * np.tan(alpha))) < 1e-12
-        assert abs(2 * p.lam**2 / d - (1 - 1 / np.sin(alpha))) < 1e-12
+        lam = params_of_alpha(alpha)
+        d = lam**2 + 1
+        assert abs(-lam / d - 1j / (2 * np.tan(alpha))) < 1e-12
+        assert abs(2 * lam**2 / d - (1 - 1 / np.sin(alpha))) < 1e-12
 
     def test_parameter_identities_second_branch(self):
         for alpha in np.linspace(np.pi + 0.15, 2 * np.pi - 0.15, 25):
-            p = params_of_alpha(alpha)
-            d = p.lam**2 + 1
-            assert abs(-p.lam / d - 1j / (2 * np.tan(alpha))) < 1e-12
-            assert abs(2 * p.lam**2 / d - (1 - 1 / np.sin(alpha))) < 1e-12
+            lam = params_of_alpha(alpha)
+            d = lam**2 + 1
+            assert abs(-lam / d - 1j / (2 * np.tan(alpha))) < 1e-12
+            assert abs(2 * lam**2 / d - (1 - 1 / np.sin(alpha))) < 1e-12
 
 
 class TestGaussianClosed:

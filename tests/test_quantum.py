@@ -1,3 +1,4 @@
+import functools
 import re
 import warnings
 
@@ -15,8 +16,12 @@ from chirpspace import (
     Signal,
     char_function_pq,
     char_function_qp,
+    forward_direct,
+    forward_fast,
     gaussian_transform_closed,
     hermite_functions,
+    inverse_direct,
+    inverse_fast,
     kirkwood_pq_closed,
     kirkwood_qp_closed,
     make_axis,
@@ -36,7 +41,7 @@ from chirpspace import (
 )
 
 from chirpspace.quantum import _antidiagonal_transform, _exp_qp, _project_density
-from chirpspace.suites import _weyl_test_symbol
+from chirpspace.suites import _boosted, _coherent_char_qp, _weyl_test_symbol
 from conftest import (
     naive_char_function,
     naive_weyl_quantize,
@@ -328,14 +333,23 @@ class TestWeylSymbol:
 
 class TestMixedMatrixElement:
     def test_ground_projector_factorizes(self):
-        K = projector_kernel(0)
-        worst = 0.0
-        for x in (-1.5, 0.0, 0.75):
-            for y in (-1.0, 0.0, 2.0):   # on-grid columns of OP_AXIS
-                val = mixed_matrix_element(K, x, y)
-                ref = (np.pi**-0.25 * np.exp(-x**2 / 2)) * (np.pi**-0.25 * np.exp(-y**2 / 2))
-                worst = max(worst, abs(val - ref))
-        assert worst < 1e-8
+        x = np.array([-1.5, 0.0, 0.75])
+        y = np.array([-1.0, 0.0, 2.0])   # on-grid columns of OP_AXIS
+        val = mixed_matrix_element(projector_kernel(0), x, y)
+        ref = np.outer(np.exp(-x**2 / 2), np.exp(-y**2 / 2)) / np.sqrt(np.pi)
+        assert val.shape == (3, 3)
+        assert np.abs(val - ref).max() < 1e-8
+
+    def test_an_off_column_y_is_read_linearly(self):
+        # y sits 0.73 of a cell past a column at step 1/16 and 0.47 at step
+        # 1/32; a nearest-column read misses by 4.4e-3 at 1/16, first order
+        x, y = 0.7, 0.9 + 1 / 48
+        ref = np.exp(-(x**2 + y**2) / 2) / np.sqrt(np.pi)
+        miss = [abs(mixed_matrix_element(projector_kernel(0, make_axis(-8.0, 8.0, n)), x, y)
+                    - ref) for n in (257, 513)]
+        assert miss[0] < 1e-4
+        # second order; the two reads' s(1 - s), 0.196 and 0.249, make it 3.6x
+        assert 3.0 < miss[0] / miss[1] < 5.0
 
     def test_identity_kernel_gives_fourier_phase(self):
         ax = make_axis(-8, 8, 257)
@@ -643,19 +657,11 @@ class TestCharFunctions:
             b = char_function_qp(rho, basis, -u, -v)
             assert a == pytest.approx(np.conj(b), abs=1e-12)
 
-    def test_phase_point_offsets(self):
-        basis = self.basis()
-        rho = self.rho0()
-        u, v, q, p = 0.8, -0.6, 1.2, -0.9
-        val = char_function_qp(rho, basis, u, v, q=q, p=p)
-        ref = char_function_qp(rho, basis, u, v) * np.exp(1j * (q * u + p * v))
-        assert val == pytest.approx(ref, abs=1e-12)
-
     @pytest.mark.parametrize("fn", [char_function_qp, char_function_pq])
-    @pytest.mark.parametrize("arg", ["u", "v", "q", "p"])
+    @pytest.mark.parametrize("arg", ["u", "v"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_argument(self, fn, arg, bad):
-        args = {"u": 0.5, "v": -0.3, "q": 0.2, "p": 0.1, arg: bad}
+        args = {"u": 0.5, "v": -0.3, arg: bad}
         with pytest.raises(ValueError, match=f"{arg} must be finite"):
             fn(self.rho0(), self.basis(), **args)
 
@@ -737,6 +743,66 @@ class TestCharFunctions:
         rho = projector_kernel(0)  # lives on OP_AXIS, not the basis axis
         with pytest.raises(ValueError, match="basis axis"):
             char_function_qp(rho, self.basis(), 0.0, 0.0)
+
+
+# the charfun suite's (u, v), and a Wigner grid whose q is on CHAR_AXIS's lattice
+ORDERING_UV = make_axis(-3.0, 3.0, 13).values
+ORDERING_GRID = square_grid(8.0, 161)
+
+
+def fourier_2d(f):
+    """iint f(x, y) e^{-i(v x + u y)} dx dy at (u, v) in ORDERING_UV^2,
+    indexed [u, v]: a dense trapezoid sum."""
+    ax_x, ax_y = f.grid.p_axis, f.grid.q_axis
+    Ex = np.exp(-1j * np.outer(ORDERING_UV, ax_x.values)) * ax_x.weights
+    Ey = np.exp(-1j * np.outer(ORDERING_UV, ax_y.values)) * ax_y.weights
+    return (Ex @ f.values @ Ey.T).T
+
+
+@functools.cache
+def ordering_case(state):
+    """(W, chi_qp, chi_pq) of the suites' coherent state, against its closed
+    forms, or of 0.6 coherent + 0.4 boosted psi_1, against the basis route."""
+    psi0, psi1 = _boosted(0, CHAR_AXIS), _boosted(1, CHAR_AXIS)
+    U, V = np.meshgrid(ORDERING_UV, ORDERING_UV, indexing="ij")
+    if state == "coherent":
+        rho = OperatorKernel(CHAR_AXIS, np.outer(psi0, psi0.conj()))
+        qp = _coherent_char_qp(U, V)
+        pq = qp * np.exp(1j * U * V)
+    else:
+        rho = OperatorKernel(CHAR_AXIS, 0.6 * np.outer(psi0, psi0.conj())
+                             + 0.4 * np.outer(psi1, psi1.conj()))
+        basis = make_hermite_basis(48, CHAR_AXIS)
+        qp = np.vectorize(lambda u, v: char_function_qp(rho, basis, u, v))(U, V)
+        pq = np.vectorize(lambda u, v: char_function_pq(rho, basis, u, v))(U, V)
+    return wigner_of_density(rho, ORDERING_GRID), qp, pq
+
+
+class TestOrderingMap:
+    """The transform maps Weyl ordering onto standard ordering: with chi_W(u, v)
+    = Tr[rho e^{-i(uQ + vP)}] = W^(v, u), chi_qp = chi_W e^{-iuv/2} and chi_pq
+    = chi_W e^{+iuv/2}, so (T[W])^(v, u) = chi_qp(u, v) and (T^{-1}[W])^(v, u)
+    = chi_pq(u, v) for every density operator.  Bounds by the tolerance rule:
+    the worst miss is 3.0e-13 on the fast path (chirp-z rounding) and 1.4e-15
+    on the direct path."""
+
+    @pytest.mark.parametrize("state", ["coherent", "mixed"])
+    @pytest.mark.parametrize("forward, inverse, bound", [
+        (forward_fast, inverse_fast, 1e-10), (forward_direct, inverse_direct, 1e-12),
+    ], ids=["fast", "direct"])
+    def test_transform_orders_the_characteristic_function(self, state, forward, inverse, bound):
+        W, qp, pq = ordering_case(state)
+        assert np.abs(fourier_2d(forward(W, ORDERING_GRID)) - qp).max() < bound
+        assert np.abs(fourier_2d(inverse(W, ORDERING_GRID)) - pq).max() < bound
+
+    @pytest.mark.parametrize("state", ["coherent", "mixed"])
+    def test_no_transform_or_the_flipped_one_misses(self, state):
+        # 0.346 and 0.180 without the transform, 0.605 and 0.349 flipped
+        W, qp, pq = ordering_case(state)
+        assert np.abs(fourier_2d(W) - qp).max() > 0.1
+        assert np.abs(fourier_2d(W) - pq).max() > 0.1
+        assert np.abs(fourier_2d(inverse_fast(W, ORDERING_GRID)) - qp).max() > 0.1
+        assert np.abs(fourier_2d(forward_fast(W, ORDERING_GRID)) - pq).max() > 0.1
 
 
 class TestHermiteBasis:
