@@ -75,15 +75,25 @@ class TestVerifyCommand:
         assert run_cli("verify", "gaussian", "--config", str(cfg),
                        "--out", str(tmp_path)) == 2
 
-    def test_removed_field_is_unknown(self, tmp_path, capsys):
-        # the damping ladder is fixed in the suite; the exact field set is
-        # pinned by test_gaussian_suite_passes
+    # each suite's grids are fixed; these fields (with their former defaults)
+    # are no longer config fields
+    @pytest.mark.parametrize("key, val", [
+        ("field_extent", 6.0), ("field_n", 128), ("mid_extent", 10.0), ("mid_n", 216),
+        ("n_fields", 3), ("damp", 0.6), ("gaussian_lambdas", [0.5, 1.0, 2.0]),
+        ("gaussian_extent", 8.0), ("gaussian_n", 161), ("eval_extent", 2.0),
+        ("eval_n", 9), ("chirplet_extent", 25.0), ("chirplet_n", 801),
+        ("oracle_alphas", [0.3, 1.0, 2.0]), ("hermite_n_terms", 1600),
+        ("oracle_extent", 3.0), ("oracle_n", 13), ("composition_n_terms", 300),
+        ("hermite_n_max", 48), ("charfun_extent", 3.0), ("charfun_n", 13),
+        ("epsilons", [0.1, 0.05, 0.02, 0.01]), ("out_dir", "."),
+    ])
+    def test_removed_field_is_unknown(self, tmp_path, capsys, key, val):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epsilons": [0.1, 0.05, 0.02, 0.01]}))
-        assert run_cli("verify", "chirplet-kernel", "--config", str(cfg),
+        cfg.write_text(json.dumps({key: val}))
+        assert run_cli("verify", "gaussian", "--config", str(cfg),
                        "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "unknown config field 'epsilons'" in err[0]
+        assert len(err) == 1 and f"unknown config field {key!r}" in err[0]
 
     def test_guarded_alpha_rejected_in_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -533,8 +543,15 @@ class TestUsageErrors:
         ("verify", "gaussian", "--config", {"seed": "abc"}),
         ("verify", "gaussian", "--config", {"alphas": 1.0}),
         ("verify", "gaussian", "--config", {"tolerance_overrides": [1]}),
+        # epsilons is no longer a config field: each of these rows, once a
+        # damping value the validator rejected, is now an unknown-field error
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [float("nan"), 0.1]}),
         ("verify", "chirplet-kernel", "--config", {"alphas": [float("inf")]}),
+        ("verify", "gaussian", "--config", {"out_dir": 5}),
         ("verify", "roundtrip", "--config", {"seed": -1}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [-0.1, 0.1]}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [0.0, 0.1]}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": ["0.1", 0.05]}),
         ("verify", "gaussian", "--config",
          {"tolerance_overrides": {"gaussian-lam-1": float("nan")}}),
         ("verify", "gaussian", "--config", {"tolerance_overrides": {"gaussian-lam-1": -1e-6}}),
@@ -548,6 +565,8 @@ class TestUsageErrors:
          "--grid=-1,1,3;-1,1,3"),
         ("kernel", "--alpha", "1.0", "--method", "closed", "--terms", "-5",
          "--grid=-1,1,3;-1,1,3"),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [0.1]}),
+        ("verify", "chirplet-kernel", "--config", {"epsilons": [0.1, 0.1]}),
         ("transform", "--in", _field_file, "--direction", "forward",
          "--grid=-1e308,1e308,5;-1,1,5", "--out", lambda tmp: str(tmp / "f.csv")),
         ("kernel", "--alpha", "1.0", "--grid=-1e308,1e308,5;-1,1,5",
@@ -561,20 +580,25 @@ class TestUsageErrors:
         ("verify", "gaussian", "--config", {"__doc__": "x"}),
         ("verify", "gaussian", "--config", {"from_file": 1}),
         ("verify", "gaussian", "--config", {"alphas": [10**400]}),
+        ("verify", "gaussian", "--config", {"out_dir": "a\u0000b"}),
         ("verify", "chirplet-kernel", "--config", {"alphas": [-1.0]}),
         ("verify", "chirplet-kernel", "--config", {"alphas": [4.0]}),
         ("verify", "gaussian", "--out", "a\u0000b"),
         *RESULT_OVERFLOWS.values(),
         *TOO_LARGE_TO_ALLOCATE.values(),
     ], ids=["config-list", "config-str-int", "config-scalar-list",
-            "config-list-dict", "config-inf-alpha", "config-negative-seed",
-            "config-nan-tolerance", "config-negative-tolerance", "config-inf-tolerance",
-            "alpha-nan", "config-alphas-empty", "alpha-duplicate",
-            "alpha-same-4-decimals", "hermite-zero-terms", "closed-negative-terms",
-            "transform-grid-overflow", "kernel-grid-overflow", "transform-out-missing-dir",
+            "config-list-dict", "config-nan-epsilon", "config-inf-alpha",
+            "config-int-out-dir", "config-negative-seed", "config-negative-damp",
+            "config-zero-damp", "config-str-epsilon", "config-nan-tolerance",
+            "config-negative-tolerance", "config-inf-tolerance", "alpha-nan",
+            "config-alphas-empty",
+            "alpha-duplicate", "alpha-same-4-decimals", "hermite-zero-terms",
+            "closed-negative-terms",
+            "epsilon-single", "epsilon-duplicate", "transform-grid-overflow",
+            "kernel-grid-overflow", "transform-out-missing-dir",
             "kernel-out-missing-dir", "verify-out-is-a-file", "config-dunder-dict",
             "config-dunder-weakref", "config-dunder-doc", "config-method-name",
-            "config-int-beyond-float", "alpha-negative-sine",
+            "config-int-beyond-float", "config-out-dir-null-byte", "alpha-negative-sine",
             "alpha-negative-sine-4", "out-null-byte", *RESULT_OVERFLOWS,
             *TOO_LARGE_TO_ALLOCATE])
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):

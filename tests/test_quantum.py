@@ -351,6 +351,34 @@ class TestMixedMatrixElement:
         # second order; the two reads' s(1 - s), 0.196 and 0.249, make it 3.6x
         assert 3.0 < miss[0] / miss[1] < 5.0
 
+    @pytest.mark.parametrize("j", [0, 100, 144])
+    def test_an_on_column_y_reads_that_column_alone(self, j):
+        # Axis.cell gives s exactly 0 on a node (exactly 1 at the last), so a
+        # lattice y, as every suite reads, weighs its neighbour by exactly 0
+        rng = np.random.default_rng(j)
+        K = OperatorKernel(OP_AXIS, rng.standard_normal((145, 145))
+                           + 1j * rng.standard_normal((145, 145)))
+        x = np.array([-1.5, 0.0, 0.75])
+        E = np.exp(-1j * np.outer(x, OP_AXIS.values)) * OP_AXIS.weights
+        ref = E @ K.values[:, j] / np.sqrt(2 * np.pi)
+        assert np.abs(mixed_matrix_element(K, x, OP_AXIS.values[j]) - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("x_shape, y_shape", [((), ()), ((2,), ()), ((), (3,)), ((2, 2), (3,))],
+                             ids=["scalar-scalar", "vector-scalar", "scalar-vector", "matrix-vector"])
+    def test_result_shape_is_x_shape_plus_y_shape(self, x_shape, y_shape):
+        K = projector_kernel(1)
+        x = np.linspace(-1.0, 1.3, int(np.prod(x_shape))).reshape(x_shape)
+        y = np.linspace(-0.9, 1.1, int(np.prod(y_shape))).reshape(y_shape)   # off-column
+        val = mixed_matrix_element(K, x, y)
+        if x_shape or y_shape:
+            assert val.shape == x_shape + y_shape
+        else:
+            assert type(val) is complex
+        for ix in np.ndindex(x_shape):
+            for iy in np.ndindex(y_shape):
+                one = mixed_matrix_element(K, float(x[ix]), float(y[iy]))
+                assert abs(np.asarray(val)[ix + iy] - one) < 1e-15
+
     def test_identity_kernel_gives_fourier_phase(self):
         ax = make_axis(-8, 8, 257)
         ident = OperatorKernel(ax, np.eye(ax.n, dtype=complex) / ax.step)
